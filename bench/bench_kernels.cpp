@@ -56,15 +56,12 @@ BENCHMARK(BM_UnmarshalDArray)->Arg(1024)->Arg(65536);
 void BM_FrameCutter(benchmark::State& state) {
   const auto buffer = static_cast<std::uint64_t>(state.range(0));
   scsq::transport::FramePool pool;
-  std::vector<scsq::transport::Frame> scratch;
   for (auto _ : state) {
     scsq::transport::FrameCutter cutter(buffer, &pool);
     std::size_t frames = 0;
     for (int i = 0; i < 64; ++i) {
-      scratch.clear();
-      cutter.push(Object{scsq::catalog::SynthArray{30'000, 0}}, scratch);
-      frames += scratch.size();
-      for (auto& f : scratch) pool.recycle(std::move(f));
+      cutter.push(Object{scsq::catalog::SynthArray{30'000, 0}});
+      for (; cutter.has_full(); ++frames) pool.recycle(cutter.cut_full());
     }
     frames += 1;
     pool.recycle(cutter.finish());
@@ -136,17 +133,16 @@ BENCHMARK_CAPTURE(BM_MarshalRoundTrip, bag, "bag");
 
 // Many small objects over a small buffer: every cut moves completed
 // objects out of the pending queue (the object-churn path). Pool +
-// scratch reuse, as the sender driver runs it.
+// lazy one-frame-at-a-time cutting, as the sender driver runs it.
 void BM_FrameCutterCut(benchmark::State& state) {
   scsq::transport::FramePool pool;
-  std::vector<scsq::transport::Frame> scratch;
   for (auto _ : state) {
     scsq::transport::FrameCutter cutter(100, &pool);
     std::size_t objects = 0;
     for (int i = 0; i < 256; ++i) {
-      scratch.clear();
-      cutter.push(Object{i}, scratch);
-      for (auto& f : scratch) {
+      cutter.push(Object{i});
+      while (cutter.has_full()) {
+        auto f = cutter.cut_full();
         objects += f.objects.size();
         pool.recycle(std::move(f));
       }

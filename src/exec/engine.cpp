@@ -71,6 +71,24 @@ double resolve_sample_interval(double configured) {
   return v;
 }
 
+/// Rejects stream-buffer settings the transport cannot run with (a
+/// zero-byte buffer, no send buffer, no receive slot) before any query
+/// is wired, instead of letting a driver abort mid-simulation.
+void validate_buffers(const ExecOptions& options) {
+  if (options.buffer_bytes < 1) {
+    throw Error("ExecOptions::buffer_bytes must be >= 1, got " +
+                std::to_string(options.buffer_bytes));
+  }
+  if (options.send_buffers < 1) {
+    throw Error("ExecOptions::send_buffers must be >= 1, got " +
+                std::to_string(options.send_buffers));
+  }
+  if (options.recv_buffers < 1) {
+    throw Error("ExecOptions::recv_buffers must be >= 1, got " +
+                std::to_string(options.recv_buffers));
+  }
+}
+
 }  // namespace
 
 int Engine::resolve_sim_lps_env(int configured) { return resolve_sim_lps(configured); }
@@ -81,6 +99,7 @@ double Engine::resolve_sample_interval_env(double configured) {
 
 Engine::Engine(hw::Machine& machine, ExecOptions options)
     : machine_(&machine), options_(std::move(options)) {
+  validate_buffers(options_);
   options_.batch_size = resolve_batch_size(options_.batch_size);
   options_.sample_interval_s = resolve_sample_interval(options_.sample_interval_s);
   // partition_ is the *requested* affinity labeling (SCSQ_SIM_LPS clamped

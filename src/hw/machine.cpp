@@ -95,15 +95,19 @@ void Machine::build(sim::Simulator& sim) {
   }
 
   if (domain_ != nullptr) {
-    // Create every torus link a same-pset MPI route can touch now, so the
-    // links_ map never mutates while LPs run concurrently (and so link
-    // identity is independent of the LP count — publish_metrics skips
-    // never-used links, keeping snapshots byte-identical across counts).
+    // Compile every same-pset MPI route now: that creates each torus link
+    // such a route can touch, so the links_ map never mutates while LPs
+    // run concurrently (and link identity is independent of the LP count
+    // — publish_metrics skips never-used links, keeping snapshots
+    // byte-identical across counts). A route leaving its LP would hold
+    // foreign resources.
     const int ranks = bg_->compute_node_count();
     for (int a = 0; a < ranks; ++a) {
       for (int b = 0; b < ranks; ++b) {
         if (a != b && bg_->pset_of(a) == bg_->pset_of(b)) {
-          bg_->torus().prewarm_route(a, b);
+          const bool single_lp = bg_->torus().compile_path(a, b).single_lp;
+          SCSQ_CHECK(single_lp) << "torus route " << a << "->" << b
+              << " leaves its LP — the partition must keep routes inside one pset";
         }
       }
     }

@@ -60,16 +60,44 @@ sim::Resource& TorusNetwork::link(int from, int to) {
   return *it->second;
 }
 
-void TorusNetwork::prewarm_route(int from, int to) {
+TorusPath TorusNetwork::compile_path(int from, int to) {
   const auto route = topology_.route(from, to);
-  sim::Simulator& owner = node_sim(from);
+  TorusPath path;
+  path.from = from;
+  path.to = to;
+  path.sim = &node_sim(from);
+  path.src_coproc = &coproc(from);
+  path.dst_coproc = &coproc(to);
+  path.hops.reserve(route.size() - 1);
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    SCSQ_CHECK(&node_sim(route[i]) == &owner && &node_sim(route[i + 1]) == &owner)
-        << "torus route " << from << "->" << to << " leaves its LP at hop "
-        << route[i] << "->" << route[i + 1]
-        << " — the partition must keep routes inside one pset";
-    link(route[i], route[i + 1]);
+    if (&node_sim(route[i + 1]) != path.sim) path.single_lp = false;
+    path.hops.push_back({&link(route[i], route[i + 1]), &coproc(route[i + 1])});
   }
+  return path;
+}
+
+const TorusPath::Costs& TorusNetwork::costs(const TorusPath& path,
+                                            std::uint64_t payload_bytes) const {
+  auto& c = path.memo;
+  if (path.memo_valid && c.payload_bytes == payload_bytes) return c;
+  const int hops = static_cast<int>(path.hops.size());
+  const auto npkt = packets_for(payload_bytes);
+  const double cf = cache_factor(payload_bytes);
+  const double rendezvous = payload_bytes > params_.eager_limit_bytes
+                                ? params_.rendezvous_rtt_per_hop_s * std::max(hops, 1)
+                                : 0.0;
+  c.payload_bytes = payload_bytes;
+  c.packets = npkt;
+  // Sender co-processor: per-message overhead, rendezvous handshake (the
+  // co-processor is busy during the handshake), per-packet handling.
+  c.send_hold_s = params_.per_message_overhead_s + rendezvous +
+                  npkt * params_.send_per_packet_s * cf;
+  c.forward_hold_s = npkt * params_.forward_per_packet_s * cf;
+  c.recv_hold_s = npkt * params_.recv_per_packet_s * cf;
+  c.wire_s = effective_wire_time(payload_bytes);
+  c.rendezvous = rendezvous > 0.0;
+  path.memo_valid = true;
+  return c;
 }
 
 void TorusNetwork::register_inbound_stream(int node) {
@@ -130,53 +158,56 @@ double TorusNetwork::link_busy_seconds(int from, int to) const {
   return it == links_.end() ? 0.0 : it->second->busy_seconds();
 }
 
+void TorusNetwork::transmit_async(const TorusPath& path, std::uint64_t payload_bytes,
+                                  std::uint64_t source_tag, sim::Event* sender_free,
+                                  sim::Event* delivered) {
+  path.sim->spawn(transmit_impl(path, payload_bytes, source_tag, sender_free, delivered));
+}
+
 sim::Task<void> TorusNetwork::transmit(int from, int to, std::uint64_t payload_bytes,
                                        std::uint64_t source_tag) {
-  co_await transmit_impl(from, to, payload_bytes, source_tag, nullptr, nullptr);
+  return transmit_owned(compile_path(from, to), payload_bytes, source_tag, nullptr, nullptr);
 }
 
 void TorusNetwork::transmit_async(int from, int to, std::uint64_t payload_bytes,
                                   std::uint64_t source_tag, sim::Event* sender_free,
                                   sim::Event* delivered) {
   node_sim(from).spawn(
-      transmit_impl(from, to, payload_bytes, source_tag, sender_free, delivered));
+      transmit_owned(compile_path(from, to), payload_bytes, source_tag, sender_free, delivered));
 }
 
-sim::Task<void> TorusNetwork::transmit_impl(int from, int to, std::uint64_t payload_bytes,
+sim::Task<void> TorusNetwork::transmit_owned(TorusPath path, std::uint64_t payload_bytes,
+                                             std::uint64_t source_tag,
+                                             sim::Event* sender_free, sim::Event* delivered) {
+  co_await transmit_impl(path, payload_bytes, source_tag, sender_free, delivered);
+}
+
+sim::Task<void> TorusNetwork::transmit_impl(const TorusPath& path, std::uint64_t payload_bytes,
                                             std::uint64_t source_tag,
                                             sim::Event* sender_free, sim::Event* delivered) {
-  const auto route = topology_.route(from, to);
-  const int hops = static_cast<int>(route.size()) - 1;
-  const auto npkt = packets_for(payload_bytes);
-  const double cf = cache_factor(payload_bytes);
-  const double wire = effective_wire_time(payload_bytes);
-  const double rendezvous = payload_bytes > params_.eager_limit_bytes
-                                ? params_.rendezvous_rtt_per_hop_s * std::max(hops, 1)
-                                : 0.0;
-
-  auto& tx = tx_[static_cast<std::size_t>(from)];
+  // A copy: messages of another size may re-memoize the path while this
+  // one is in flight.
+  const TorusPath::Costs c = costs(path, payload_bytes);
+  auto& tx = tx_[static_cast<std::size_t>(path.from)];
   tx.messages += 1;
-  tx.packets += npkt;
+  tx.packets += c.packets;
   tx.payload_bytes += payload_bytes;
-  if (rendezvous > 0.0) tx.rendezvous_messages += 1;
+  if (c.rendezvous) tx.rendezvous_messages += 1;
 
-  // Sender co-processor: per-message overhead, rendezvous handshake (the
-  // co-processor is busy during the handshake), per-packet handling.
-  co_await coproc(from).use(params_.per_message_overhead_s + rendezvous +
-                            npkt * params_.send_per_packet_s * cf);
+  co_await path.src_coproc->use(c.send_hold_s);
 
+  const std::size_t hops = path.hops.size();
   if (hops == 0) {
     // Self-delivery (not used by real queries, but keeps the model total).
     if (sender_free) sender_free->set();
   }
 
-  for (int i = 0; i < hops; ++i) {
-    co_await link(route[i], route[i + 1]).use(wire);
+  for (std::size_t i = 0; i < hops; ++i) {
+    co_await path.hops[i].link->use(c.wire_s);
     if (i == 0 && sender_free) sender_free->set();
-    const bool is_intermediate = (i + 1) < hops;
-    if (is_intermediate) {
+    if (i + 1 < hops) {
       // Store-and-forward through the intermediate node's co-processor.
-      co_await coproc(route[i + 1]).use(npkt * params_.forward_per_packet_s * cf);
+      co_await path.hops[i].coproc->use(c.forward_hold_s);
     }
   }
 
@@ -184,12 +215,12 @@ sim::Task<void> TorusNetwork::transmit_impl(int from, int to, std::uint64_t payl
   // interleaved arrivals make the single-threaded co-processor switch
   // sources on an expected (k-1)/k of the messages.
   (void)source_tag;
-  const int streams = std::max(1, inbound_streams_[to]);
+  const int streams = std::max(1, inbound_streams_[path.to]);
   const double switch_cost = params_.source_switch_penalty_s *
                              static_cast<double>(streams - 1) /
                              static_cast<double>(streams);
-  switch_seconds_by_dst_[static_cast<std::size_t>(to)] += switch_cost;
-  co_await coproc(to).use(npkt * params_.recv_per_packet_s * cf + switch_cost);
+  switch_seconds_by_dst_[static_cast<std::size_t>(path.to)] += switch_cost;
+  co_await path.dst_coproc->use(c.recv_hold_s + switch_cost);
   if (delivered) delivered->set();
 }
 

@@ -78,6 +78,47 @@ struct TorusParams {
   }
 };
 
+/// A route resolved once (TorusNetwork::compile_path): the Simulator
+/// that runs its messages and every co-processor and directed link a
+/// message holds, in order, plus a memo of the payload-size-dependent
+/// costs. A stream compiles its path when it is wired and reuses it for
+/// every message, so the per-message work is the resource holds alone.
+/// The path must outlive every transfer started on it.
+struct TorusPath {
+  int from = 0;
+  int to = 0;
+  /// Owner of the source node's resources: message coroutines run here.
+  sim::Simulator* sim = nullptr;
+  /// True when every resource on the route belongs to `sim` — the route
+  /// stays inside one LP of a partitioned machine.
+  bool single_lp = true;
+  sim::Resource* src_coproc = nullptr;
+  sim::Resource* dst_coproc = nullptr;
+  /// One entry per hop: the directed link, then the co-processor of the
+  /// node it reaches (store-and-forward on every hop but the last).
+  struct Hop {
+    sim::Resource* link = nullptr;
+    sim::Resource* coproc = nullptr;
+  };
+  std::vector<Hop> hops;
+
+  /// Size-dependent costs of one message, bitwise equal to evaluating
+  /// the model's expressions per message. Recomputed only when the
+  /// payload size changes (a stream's frames are all one size but the
+  /// last).
+  struct Costs {
+    std::uint64_t payload_bytes = 0;
+    std::uint32_t packets = 0;
+    double send_hold_s = 0.0;     ///< overhead + rendezvous + packet handling
+    double forward_hold_s = 0.0;  ///< per intermediate co-processor
+    double recv_hold_s = 0.0;     ///< before the live source-switch cost
+    double wire_s = 0.0;          ///< per link, incl. memory slowdown
+    bool rendezvous = false;
+  };
+  mutable Costs memo;
+  mutable bool memo_valid = false;
+};
+
 class TorusNetwork {
  public:
   /// `node_sim` (optional) maps a node id to the LP Simulator that owns
@@ -89,20 +130,31 @@ class TorusNetwork {
   TorusNetwork(const TorusNetwork&) = delete;
   TorusNetwork& operator=(const TorusNetwork&) = delete;
 
-  /// Transmits one message of `payload_bytes` from node `from` to node
-  /// `to`, completing when the destination co-processor has handled it.
-  /// `source_tag` identifies the logical stream (used for the receiver's
-  /// source-switch penalty); distinct producers must pass distinct tags.
+  /// Resolves route(from, to) into a TorusPath, creating any directed
+  /// link on it that does not exist yet. Multi-LP machines compile every
+  /// route they will drive in parallel up front, so the link map never
+  /// mutates during the concurrent phase (and check single_lp).
+  TorusPath compile_path(int from, int to);
+
+  /// Starts transferring one message of `payload_bytes` along `path` in
+  /// the background, on the path's Simulator. `source_tag` identifies
+  /// the logical stream; distinct producers must pass distinct tags.
+  /// `sender_free` (if non-null) is set once the payload has fully left
+  /// the sending node (send buffer reusable — how the MPI driver
+  /// overlaps marshalling with transmission when double buffering);
+  /// `delivered` (if non-null) is set when the destination co-processor
+  /// has handled the message. The path and both events must outlive the
+  /// transfer. Messages on one path stay ordered (all resources are
+  /// FIFO).
+  void transmit_async(const TorusPath& path, std::uint64_t payload_bytes,
+                      std::uint64_t source_tag, sim::Event* sender_free,
+                      sim::Event* delivered);
+
+  /// One-off forms that compile the route from `from` to `to` first.
+  /// transmit() completes when the destination co-processor has handled
+  /// the message.
   sim::Task<void> transmit(int from, int to, std::uint64_t payload_bytes,
                            std::uint64_t source_tag);
-
-  /// Starts a message transfer in the background. `sender_free` (if
-  /// non-null) is set once the payload has fully left the sending node
-  /// (send buffer reusable — how the MPI driver overlaps marshalling
-  /// with transmission when double buffering); `delivered` (if non-null)
-  /// is set when the destination co-processor has handled the message.
-  /// Both events must outlive the transfer. Messages between the same
-  /// pair of calls stay ordered (all resources are FIFO).
   void transmit_async(int from, int to, std::uint64_t payload_bytes,
                       std::uint64_t source_tag, sim::Event* sender_free,
                       sim::Event* delivered);
@@ -132,13 +184,6 @@ class TorusNetwork {
     return node_sim_ ? node_sim_(node) : *sim_;
   }
 
-  /// Creates every directed link on route(from, to) now, instead of at
-  /// first transmission. Multi-LP machines prewarm all routes they will
-  /// drive in parallel: the links_ map then never mutates during the
-  /// concurrent phase, and the route is checked to stay on `from`'s
-  /// Simulator (a route leaving its LP would hold foreign resources).
-  void prewarm_route(int from, int to);
-
   /// Stream registration: links declare a live inbound stream at `node`
   /// so receive handling can charge the expected source-switch cost.
   void register_inbound_stream(int node);
@@ -164,9 +209,16 @@ class TorusNetwork {
 
  private:
   sim::Resource& link(int from, int to);
-  sim::Task<void> transmit_impl(int from, int to, std::uint64_t payload_bytes,
+  /// The path's memoized costs for a `payload_bytes` message.
+  const TorusPath::Costs& costs(const TorusPath& path, std::uint64_t payload_bytes) const;
+  /// The message coroutine: every hold of one message on a compiled path.
+  sim::Task<void> transmit_impl(const TorusPath& path, std::uint64_t payload_bytes,
                                 std::uint64_t source_tag, sim::Event* sender_free,
                                 sim::Event* delivered);
+  /// The one-off forms: keeps the compiled path alive for the message.
+  sim::Task<void> transmit_owned(TorusPath path, std::uint64_t payload_bytes,
+                                 std::uint64_t source_tag, sim::Event* sender_free,
+                                 sim::Event* delivered);
 
   sim::Simulator* sim_;
   Torus3D topology_;
@@ -174,7 +226,7 @@ class TorusNetwork {
   std::function<sim::Simulator&(int)> node_sim_;
   std::vector<std::unique_ptr<sim::Resource>> coprocs_;
   // Directed links created lazily, keyed by from * node_count + to
-  // (multi-LP machines prewarm instead — see prewarm_route).
+  // (multi-LP machines compile their routes up front — compile_path).
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::Resource>> links_;
   // Live inbound stream count per node (source-switch expectation).
   std::vector<int> inbound_streams_;

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
@@ -35,9 +37,7 @@ class Resource {
       Resource* res;
       bool await_ready() {
         if (res->in_use_ < res->capacity_) {
-          res->note_change();
-          ++res->in_use_;
-          if (res->in_use_ == 1) res->episode_start_ = res->sim_->now();
+          res->grant();
           return true;
         }
         return false;
@@ -52,7 +52,7 @@ class Resource {
   /// the oldest one (in_use stays constant across the hand-off).
   void release() {
     SCSQ_CHECK(in_use_ > 0) << "release of idle resource " << name_;
-    if (waiters_.empty()) {
+    if (waiter_head_ == waiters_.size()) {
       note_change();
       --in_use_;
       if (in_use_ == 0 && trace_ != nullptr) {
@@ -61,17 +61,65 @@ class Resource {
       }
       return;
     }
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    sim_->schedule_now(h);
+    sim_->schedule_now(pop_waiter());
   }
 
-  /// Convenience: acquire, hold for `duration` simulated seconds, release.
-  Task<void> use(Time duration) {
-    co_await acquire();
-    co_await sim_->delay(duration);
-    release();
-  }
+  /// Awaiter returned by use(). When a slot is free, await_ready takes
+  /// it and the awaiting coroutine itself is scheduled at now + hold —
+  /// the very push the spelled-out acquire/delay/release coroutine makes
+  /// — and releases in await_resume, so the uncontended hold costs no
+  /// coroutine frame. Only a caller that must queue falls back to that
+  /// coroutine (use_queued), which parks on the FIFO waiter list. Either
+  /// way the grants, timestamps and kernel events are exactly those of
+  ///   co_await acquire(); co_await sim.delay(d); release();
+  class [[nodiscard]] UseAwaiter {
+   public:
+    UseAwaiter(Resource& res, Time duration) : res_(&res), duration_(duration) {}
+    UseAwaiter(const UseAwaiter&) = delete;
+    UseAwaiter& operator=(const UseAwaiter&) = delete;
+    ~UseAwaiter() {
+      if (queued_) queued_.destroy();
+    }
+
+    bool await_ready() {
+      if (res_->in_use_ >= res_->capacity_) return false;  // must queue
+      res_->grant();
+      if (duration_ <= 0.0) {  // a zero hold never suspends
+        res_->release();
+        return true;
+      }
+      held_ = true;
+      return false;
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+      if (held_) {
+        res_->sim_->schedule_at(res_->sim_->now() + duration_, caller);
+        return std::noop_coroutine();
+      }
+      queued_ = res_->use_queued(duration_).release();
+      queued_.promise().continuation = caller;
+      return queued_;  // symmetric transfer into the parking coroutine
+    }
+    void await_resume() {
+      if (held_) {
+        res_->release();
+        return;
+      }
+      if (queued_ && queued_.promise().exception) {
+        std::rethrow_exception(queued_.promise().exception);
+      }
+    }
+
+   private:
+    Resource* res_;
+    Time duration_;
+    bool held_ = false;
+    std::coroutine_handle<Task<void>::promise_type> queued_{};
+  };
+
+  /// Acquire, hold for `duration` simulated seconds, release (see
+  /// UseAwaiter). Must be co_awaited directly.
+  UseAwaiter use(Time duration) { return UseAwaiter(*this, duration); }
 
   /// Batched convenience: acquire once, hold for the sequential fold of
   /// `n` holds of `per` seconds each, release. The end time is computed
@@ -109,7 +157,7 @@ class Resource {
 
   int capacity() const { return capacity_; }
   int in_use() const { return in_use_; }
-  std::size_t queue_length() const { return waiters_.size(); }
+  std::size_t queue_length() const { return waiters_.size() - waiter_head_; }
   const std::string& name() const { return name_; }
 
   /// Integral of in_use over time divided by capacity: the mean
@@ -138,6 +186,38 @@ class Resource {
   void set_trace(Trace* trace) { trace_ = trace; }
 
  private:
+  /// Takes a free slot (the caller checked in_use_ < capacity_).
+  void grant() {
+    note_change();
+    ++in_use_;
+    if (in_use_ == 1) episode_start_ = sim_->now();
+  }
+
+  /// use() slow path: the spelled-out hold, parked on the waiter list
+  /// until a release hands it the slot.
+  Task<void> use_queued(Time duration) {
+    co_await acquire();
+    co_await sim_->delay(duration);
+    release();
+  }
+
+  /// Oldest waiter. The list is a vector consumed from waiter_head_: it
+  /// resets when drained and compacts in place once the spent prefix
+  /// dominates, so steady-state queueing reuses one allocation (a deque
+  /// would allocate a fresh block every few dozen waits).
+  std::coroutine_handle<> pop_waiter() {
+    const auto h = waiters_[waiter_head_++];
+    if (waiter_head_ == waiters_.size()) {
+      waiters_.clear();
+      waiter_head_ = 0;
+    } else if (waiter_head_ >= 64 && 2 * waiter_head_ >= waiters_.size()) {
+      waiters_.erase(waiters_.begin(),
+                     waiters_.begin() + static_cast<std::ptrdiff_t>(waiter_head_));
+      waiter_head_ = 0;
+    }
+    return h;
+  }
+
   void note_change() {
     busy_integral_ += in_use_ * (sim_->now() - last_change_);
     last_change_ = sim_->now();
@@ -147,7 +227,8 @@ class Resource {
   int capacity_;
   std::string name_;
   int in_use_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<std::coroutine_handle<>> waiters_;  // FIFO from waiter_head_
+  std::size_t waiter_head_ = 0;
   double busy_integral_ = 0.0;
   double last_change_ = 0.0;
   double stats_start_ = 0.0;

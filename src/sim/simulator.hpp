@@ -352,7 +352,11 @@ class Simulator {
 };
 
 /// One-shot broadcast event (like a latch): wait() suspends until set()
-/// is called; set() wakes all current and future waiters.
+/// is called; set() wakes all current and future waiters, oldest first.
+///
+/// The first waiter is kept inline and only later ones spill into a
+/// vector: the common single-waiter event (a transfer's sender-free and
+/// delivered signals, a link's drained latch) never touches the heap.
 class Event {
  public:
   explicit Event(Simulator& sim) : sim_(&sim) {}
@@ -362,27 +366,38 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) {
-      sim_->count_wakeup();
-      sim_->schedule_now(h);
-    }
-    waiters_.clear();
+    if (!first_) return;
+    wake(first_);
+    for (auto h : rest_) wake(h);
+    rest_.clear();
   }
 
   auto wait() {
     struct Awaiter {
       Event* ev;
       bool await_ready() const noexcept { return ev->set_; }
-      void await_suspend(std::coroutine_handle<> h) { ev->waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) {
+        if (!ev->first_) {
+          ev->first_ = h;
+        } else {
+          ev->rest_.push_back(h);
+        }
+      }
       void await_resume() const noexcept {}
     };
     return Awaiter{this};
   }
 
  private:
+  void wake(std::coroutine_handle<> h) {
+    sim_->count_wakeup();
+    sim_->schedule_now(h);
+  }
+
   Simulator* sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::coroutine_handle<> first_;              // oldest waiter
+  std::vector<std::coroutine_handle<>> rest_;  // later waiters, in order
 };
 
 /// Condition-variable-like wait queue used to build channels.

@@ -4,12 +4,12 @@
 
 namespace scsq::transport {
 
-void Link::start_transmit(Frame frame, std::function<void()> on_sender_free) {
+void Link::start_transmit(Frame frame, sim::Resource& send_slots) {
   if (split()) {
-    sim_->spawn(run_split(std::move(frame), std::move(on_sender_free)));
+    sim_->spawn(run_split(std::move(frame), send_slots));
     return;
   }
-  sim_->spawn(run(std::move(frame), std::move(on_sender_free)));
+  sim_->spawn(run(std::move(frame), send_slots));
 }
 
 void Link::enable_split(sim::Simulator& dst_sim, Poster post_dst, Poster post_src,
@@ -23,14 +23,14 @@ void Link::enable_split(sim::Simulator& dst_sim, Poster post_dst, Poster post_sr
   deferred_ = deferred_metrics;
 }
 
-sim::Task<void> Link::run(Frame frame, std::function<void()> on_sender_free) {
+sim::Task<void> Link::run(Frame frame, sim::Resource& send_slots) {
   const bool eos = frame.eos;
   const std::uint64_t payload = frame.bytes;
   const double t0 = sim_->now();
   if (window_.in_use() >= window_.capacity()) ++batch_.stalls;
   co_await window_.acquire();
   const double window_wait = sim_->now() - t0;
-  co_await transmit_one(std::move(frame), std::move(on_sender_free));
+  co_await transmit_one(std::move(frame), send_slots);
   window_.release();
   const double t1 = sim_->now();
   // Scalar accounting batches across the burst of in-flight frames; the
@@ -91,7 +91,7 @@ void Link::publish_deferred() const {
   deferred_latency_.clear();
 }
 
-sim::Task<void> Link::src_transmit(Frame, std::function<void()>, double, double, bool) {
+sim::Task<void> Link::src_transmit(Frame, sim::Resource&, double, double, bool) {
   SCSQ_CHECK(false) << "link type '" << type_ << "' does not support split transmit";
   co_return;
 }
@@ -111,15 +111,14 @@ void Link::announce_delivery(double at, Frame frame, double t0, double window_wa
   });
 }
 
-sim::Task<void> Link::run_split(Frame frame, std::function<void()> on_sender_free) {
+sim::Task<void> Link::run_split(Frame frame, sim::Resource& send_slots) {
   const double t0 = sim_->now();
   // Same stall truth-value as the sequential path — computed here on the
   // source LP, accounted in dst_run where batch_ lives.
   const bool stalled = window_.in_use() >= window_.capacity();
   co_await window_.acquire();
   const double window_wait = sim_->now() - t0;
-  co_await src_transmit(std::move(frame), std::move(on_sender_free), t0, window_wait,
-                        stalled);
+  co_await src_transmit(std::move(frame), send_slots, t0, window_wait, stalled);
 }
 
 sim::Task<void> Link::dst_run(Frame frame, double t0, double window_wait, bool stalled) {
@@ -191,14 +190,11 @@ sim::Task<void> SenderDriver::push(catalog::Object obj) {
   // Entering active production invalidates any armed linger flush (the
   // cut in the timer callback must never interleave with a push).
   ++linger_generation_;
-  // Pushes on one sender are sequential (the producing RP awaits each),
-  // so the cut scratch vector is reusable — its capacity persists for
-  // the life of the stream and the no-cut common case costs nothing.
-  cut_scratch_.clear();
-  cutter_.push(std::move(obj), cut_scratch_);
-  for (auto& frame : cut_scratch_) {
-    co_await outbox_.send(std::move(frame));
-  }
+  // Frames are cut one at a time as the outbox takes them: a 3 MB array
+  // over small buffers never holds more than one cut frame here, so the
+  // frame pool recycles instead of growing by the array's frame count.
+  cutter_.push(std::move(obj));
+  while (cutter_.has_full()) co_await outbox_.send(cutter_.cut_full());
   arm_linger();
 }
 
@@ -253,7 +249,7 @@ sim::Task<void> SenderDriver::drain() {
                                 params_.marshal_per_byte_s * params_.factor(frame->bytes);
     marshal_seconds_ += marshal_cost;
     co_await cpu_->use(marshal_cost);
-    link_->start_transmit(std::move(*frame), [this] { slots_.release(); });
+    link_->start_transmit(std::move(*frame), slots_);
   }
 }
 

@@ -40,6 +40,7 @@ struct DriverParams {
   /// Cost to materialize one received object.
   double alloc_per_object_s = 1.0e-6;
   /// Buffer-size-dependent CPU cost factor (cache misses); null = 1.0.
+  /// Must be a pure function of the size: factor() memoizes it.
   std::function<double(std::uint64_t)> cache_factor;
   /// Linger: a partially filled send buffer is flushed after this much
   /// simulated idle time, so sparse streams (one aggregate per window)
@@ -49,9 +50,22 @@ struct DriverParams {
   /// cut frame is a fresh allocation, as in directly-wired test rigs.
   FramePool* frame_pool = nullptr;
 
+  /// cache_factor(bytes), evaluated only when the size differs from the
+  /// previous call's — every frame but a stream's last has the same size.
   double factor(std::uint64_t bytes) const {
-    return cache_factor ? cache_factor(bytes) : 1.0;
+    if (!cache_factor) return 1.0;
+    if (!factor_memo_valid_ || bytes != factor_memo_bytes_) {
+      factor_memo_value_ = cache_factor(bytes);
+      factor_memo_bytes_ = bytes;
+      factor_memo_valid_ = true;
+    }
+    return factor_memo_value_;
   }
+
+ private:
+  mutable bool factor_memo_valid_ = false;
+  mutable std::uint64_t factor_memo_bytes_ = 0;
+  mutable double factor_memo_value_ = 1.0;
 };
 
 /// Registry handles one Link reports through — resolved once when the
@@ -101,10 +115,11 @@ class Link {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Starts transmitting a frame in the background. `on_sender_free` is
-  /// invoked when the send buffer becomes reusable. Frames are delivered
-  /// to the consumer inbox in start order.
-  void start_transmit(Frame frame, std::function<void()> on_sender_free);
+  /// Starts transmitting a frame in the background. The sender holds one
+  /// slot of `send_slots` (its send-buffer pool) for the frame; the link
+  /// releases it when the send buffer becomes reusable. Frames are
+  /// delivered to the consumer inbox in start order.
+  void start_transmit(Frame frame, sim::Resource& send_slots);
 
   /// Schedules a callback onto a (possibly remote) LP Simulator at an
   /// absolute simulated time (hw::Machine::make_poster).
@@ -162,8 +177,9 @@ class Link {
   }
 
  protected:
-  virtual sim::Task<void> transmit_one(Frame frame,
-                                       std::function<void()> on_sender_free) = 0;
+  /// Carries one frame to the inbox, releasing a `send_slots` slot as
+  /// soon as the send buffer is reusable.
+  virtual sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) = 0;
 
   /// Split mode, source half: source-side resource holds only.
   /// Implementations claim() their final capacity-1 source resource,
@@ -172,8 +188,8 @@ class Link {
   /// is what makes the announced time at least one lookahead ahead of
   /// every LP's clock), then co_await the actual holds. Links that never
   /// split (MPI, local) keep the default, which aborts.
-  virtual sim::Task<void> src_transmit(Frame frame, std::function<void()> on_sender_free,
-                                       double t0, double window_wait, bool stalled);
+  virtual sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
+                                       double window_wait, bool stalled);
 
   /// Split mode, destination half: receive-side resource holds plus the
   /// inbox delivery. Runs on the destination LP.
@@ -200,10 +216,10 @@ class Link {
   sim::Simulator& sim() { return *sim_; }
 
  private:
-  sim::Task<void> run(Frame frame, std::function<void()> on_sender_free);
+  sim::Task<void> run(Frame frame, sim::Resource& send_slots);
   /// Split-mode source half: window admission on the source LP, then
   /// src_transmit (which announces the destination half).
-  sim::Task<void> run_split(Frame frame, std::function<void()> on_sender_free);
+  sim::Task<void> run_split(Frame frame, sim::Resource& send_slots);
   /// Split-mode destination half: dst_receive, then accounting (batch_,
   /// stats_ and the latency samples are destination-LP-owned in split
   /// mode) and the window credit back to the source LP.
@@ -297,7 +313,6 @@ class SenderDriver {
   FrameCutter cutter_;
   sim::Resource slots_;  // send buffers: capacity 1 (single) or 2 (double)
   sim::Channel<Frame> outbox_;
-  std::vector<Frame> cut_scratch_;  // reused across pushes (see push())
   std::uint64_t linger_generation_ = 0;
   bool drain_started_ = false;
   bool finishing_ = false;

@@ -6,12 +6,14 @@ namespace scsq::transport {
 
 std::optional<Frame> FrameCutter::cut_partial() {
   SCSQ_CHECK(!finished_) << "cut_partial after finish";
+  SCSQ_CHECK(!has_full()) << "cut_partial with full buffers uncut";
   if (pending_bytes() == 0) return std::nullopt;
   return cut(pending_bytes());
 }
 
 Frame FrameCutter::finish() {
   SCSQ_CHECK(!finished_) << "double finish";
+  SCSQ_CHECK(!has_full()) << "finish with full buffers uncut";
   finished_ = true;
   Frame f = cut(pushed_bytes_ - emitted_bytes_);
   f.eos = true;

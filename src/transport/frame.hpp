@@ -138,33 +138,38 @@ class FrameCutter {
     pending_end_.reserve(16);
   }
 
-  /// Adds an object to the stream; appends the frames that became full
-  /// to `out` (caller-owned scratch — reuse it across pushes so the
-  /// common no-cut case does no work at all). Inline: the no-cut path
-  /// is three appends and a compare, executed once per stream object.
-  void push(catalog::Object obj, std::vector<Frame>& out) {
+  /// Adds an object to the stream. Nothing is cut here: the caller pulls
+  /// the frames that became full one at a time (while has_full(), send
+  /// cut_full()), so an object spanning many buffers (a 3 MB SynthArray
+  /// over 1 KB frames) never has more than one cut frame in hand.
+  void push(catalog::Object obj) {
     SCSQ_CHECK(!finished_) << "push after finish";
     pushed_bytes_ += obj.marshaled_size();
     pending_.push_back(std::move(obj));
     pending_end_.push_back(pushed_bytes_);
-    // Objects spanning many buffers (a 3 MB SynthArray over 1 KB
-    // frames) loop here: every full frame before the one carrying the
-    // object's final byte is pure byte accounting — cut() finds no
-    // completed objects and ships an empty (pooled) objects vector.
-    while (pushed_bytes_ - emitted_bytes_ >= buffer_bytes_) {
-      out.push_back(cut(buffer_bytes_));
-    }
+  }
+
+  /// True while at least one full buffer is pending.
+  bool has_full() const { return pushed_bytes_ - emitted_bytes_ >= buffer_bytes_; }
+
+  /// Cuts the next full buffer into a frame; requires has_full(). Every
+  /// full frame before the one carrying an object's final byte is pure
+  /// byte accounting — it ships an empty (pooled) objects vector.
+  Frame cut_full() {
+    SCSQ_CHECK(has_full()) << "cut_full without a full buffer pending";
+    return cut(buffer_bytes_);
   }
 
   /// Cuts the currently pending partial buffer into a frame (non-EOS).
   /// Returns nullopt when nothing is pending. Used by the sender
   /// driver's linger flush so sparse result streams (e.g. one count per
   /// window) are delivered promptly instead of waiting for a full
-  /// buffer.
+  /// buffer. Full buffers must have been cut first.
   std::optional<Frame> cut_partial();
 
   /// Ends the stream: returns the final frame (partial buffer or empty)
-  /// with eos set. Must be called exactly once, after the last push().
+  /// with eos set. Must be called exactly once, after the last push()
+  /// and after every full buffer has been cut.
   Frame finish();
 
   /// Bytes pushed but not yet cut into frames.

@@ -10,8 +10,8 @@ MpiLink::MpiLink(hw::Machine& machine, int src_rank, int dst_rank,
                  sim::Channel<Frame>& inbox, std::uint64_t source_tag)
     : Link(machine.sim_of(hw::Location{hw::kBlueGene, src_rank})),
       machine_(&machine),
-      src_(src_rank),
       dst_(dst_rank),
+      path_(machine.bg().torus().compile_path(src_rank, dst_rank)),
       inbox_(&inbox),
       tag_(source_tag) {
   machine_->bg().torus().register_inbound_stream(dst_);
@@ -34,12 +34,12 @@ std::uint64_t MpiLink::wire_bytes_for(std::uint64_t payload_bytes) const {
          torus.params().packet_bytes;
 }
 
-sim::Task<void> MpiLink::transmit_one(Frame frame, std::function<void()> on_sender_free) {
+sim::Task<void> MpiLink::transmit_one(Frame frame, sim::Resource& send_slots) {
   sim::Event freed(sim());
   sim::Event delivered(sim());
-  machine_->bg().torus().transmit_async(src_, dst_, frame.bytes, tag_, &freed, &delivered);
+  machine_->bg().torus().transmit_async(path_, frame.bytes, tag_, &freed, &delivered);
   co_await freed.wait();
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
   co_await delivered.wait();
   co_await inbox_->send(std::move(frame));
 }
@@ -73,10 +73,9 @@ void TcpToBgLink::close_flow() {
   machine_->unregister_bg_inbound(dst_rank_);
 }
 
-sim::Task<void> TcpToBgLink::transmit_one(Frame frame,
-                                          std::function<void()> on_sender_free) {
+sim::Task<void> TcpToBgLink::transmit_one(Frame frame, sim::Resource& send_slots) {
   co_await machine_->fabric().transfer(flow_, frame.bytes);
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
   // Coordination factors: on a classic (single-Simulator) machine these
   // are recomputed per message, walking the live flow table under its
   // mutex so concurrently opening/closing streams are reflected (Fig. 15
@@ -91,7 +90,7 @@ sim::Task<void> TcpToBgLink::transmit_one(Frame frame,
   co_await inbox_->send(std::move(frame));
 }
 
-sim::Task<void> TcpToBgLink::src_transmit(Frame frame, std::function<void()> on_sender_free,
+sim::Task<void> TcpToBgLink::src_transmit(Frame frame, sim::Resource& send_slots,
                                           double t0, double window_wait, bool stalled) {
   auto& fabric = machine_->fabric();
   const double wire = fabric.wire_time(frame.bytes);
@@ -104,7 +103,7 @@ sim::Task<void> TcpToBgLink::src_transmit(Frame frame, std::function<void()> on_
   const double t1 = tx.claim(tx_time);
   announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
   co_await tx.use(tx_time);
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
 }
 
 sim::Task<void> TcpToBgLink::dst_receive(Frame frame) {
@@ -143,17 +142,15 @@ void TcpFromBgLink::close_flow() {
   machine_->fabric().close_flow(flow_);
 }
 
-sim::Task<void> TcpFromBgLink::transmit_one(Frame frame,
-                                            std::function<void()> on_sender_free) {
+sim::Task<void> TcpFromBgLink::transmit_one(Frame frame, sim::Resource& send_slots) {
   co_await machine_->bg().tree().forward_outbound(pset_, src_rank_, frame.bytes,
                                                   /*io_factor=*/1.0);
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
   co_await machine_->fabric().transfer(flow_, frame.bytes);
   co_await inbox_->send(std::move(frame));
 }
 
-sim::Task<void> TcpFromBgLink::src_transmit(Frame frame,
-                                            std::function<void()> on_sender_free,
+sim::Task<void> TcpFromBgLink::src_transmit(Frame frame, sim::Resource& send_slots,
                                             double t0, double window_wait, bool stalled) {
   // The whole outbound tree path (compute egress, tree link, I/O CPU)
   // and the I/O node's GigE NIC all belong to the source pset's LP, so
@@ -161,7 +158,7 @@ sim::Task<void> TcpFromBgLink::src_transmit(Frame frame,
   // destination host's receive.
   co_await machine_->bg().tree().forward_outbound(pset_, src_rank_, frame.bytes,
                                                   /*io_factor=*/1.0);
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
   auto& fabric = machine_->fabric();
   const double wire = fabric.wire_time(frame.bytes);
   const double tx_time = fabric.params().per_message_overhead_s +
@@ -203,15 +200,13 @@ void TcpPlainLink::close_flow() {
   machine_->fabric().close_flow(flow_);
 }
 
-sim::Task<void> TcpPlainLink::transmit_one(Frame frame,
-                                           std::function<void()> on_sender_free) {
+sim::Task<void> TcpPlainLink::transmit_one(Frame frame, sim::Resource& send_slots) {
   co_await machine_->fabric().transfer(flow_, frame.bytes);
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
   co_await inbox_->send(std::move(frame));
 }
 
-sim::Task<void> TcpPlainLink::src_transmit(Frame frame,
-                                           std::function<void()> on_sender_free,
+sim::Task<void> TcpPlainLink::src_transmit(Frame frame, sim::Resource& send_slots,
                                            double t0, double window_wait, bool stalled) {
   auto& fabric = machine_->fabric();
   const double wire = fabric.wire_time(frame.bytes);
@@ -221,7 +216,7 @@ sim::Task<void> TcpPlainLink::src_transmit(Frame frame,
   const double t1 = tx.claim(tx_time);
   announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
   co_await tx.use(tx_time);
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
 }
 
 sim::Task<void> TcpPlainLink::dst_receive(Frame frame) {
@@ -244,9 +239,9 @@ LocalLink::LocalLink(hw::Machine& machine, const hw::Location& loc,
                      sim::Channel<Frame>& inbox)
     : Link(machine.sim_of(loc)), inbox_(&inbox) {}
 
-sim::Task<void> LocalLink::transmit_one(Frame frame, std::function<void()> on_sender_free) {
+sim::Task<void> LocalLink::transmit_one(Frame frame, sim::Resource& send_slots) {
   co_await sim().delay(kLocalHandoffSeconds);
-  if (on_sender_free) on_sender_free();
+  send_slots.release();
   co_await inbox_->send(std::move(frame));
 }
 

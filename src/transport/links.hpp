@@ -29,7 +29,7 @@ class MpiLink final : public Link {
   ~MpiLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, std::function<void()> on_sender_free) override;
+  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
   void stream_ended() override;
   /// Rounds up to full torus packets: a partially filled final packet
   /// still burns a full 1KB slot (the profiler's packetization waste).
@@ -39,8 +39,8 @@ class MpiLink final : public Link {
   void unregister();
 
   hw::Machine* machine_;
-  int src_;
   int dst_;
+  net::TorusPath path_;  // compiled once; every frame's message reads it
   sim::Channel<Frame>* inbox_;
   std::uint64_t tag_;
   bool registered_ = false;
@@ -53,9 +53,9 @@ class TcpToBgLink final : public Link {
   ~TcpToBgLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, std::function<void()> on_sender_free) override;
-  sim::Task<void> src_transmit(Frame frame, std::function<void()> on_sender_free,
-                               double t0, double window_wait, bool stalled) override;
+  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
+  sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
+                               double window_wait, bool stalled) override;
   sim::Task<void> dst_receive(Frame frame) override;
   void stream_ended() override;
 
@@ -79,9 +79,9 @@ class TcpFromBgLink final : public Link {
   ~TcpFromBgLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, std::function<void()> on_sender_free) override;
-  sim::Task<void> src_transmit(Frame frame, std::function<void()> on_sender_free,
-                               double t0, double window_wait, bool stalled) override;
+  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
+  sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
+                               double window_wait, bool stalled) override;
   sim::Task<void> dst_receive(Frame frame) override;
   void stream_ended() override;
 
@@ -105,9 +105,9 @@ class TcpPlainLink final : public Link {
   ~TcpPlainLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, std::function<void()> on_sender_free) override;
-  sim::Task<void> src_transmit(Frame frame, std::function<void()> on_sender_free,
-                               double t0, double window_wait, bool stalled) override;
+  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
+  sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
+                               double window_wait, bool stalled) override;
   sim::Task<void> dst_receive(Frame frame) override;
   void stream_ended() override;
 
@@ -127,7 +127,7 @@ class LocalLink final : public Link {
   LocalLink(hw::Machine& machine, const hw::Location& loc, sim::Channel<Frame>& inbox);
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, std::function<void()> on_sender_free) override;
+  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
 
  private:
   sim::Channel<Frame>* inbox_;

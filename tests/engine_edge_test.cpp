@@ -3,6 +3,8 @@
 // paths not exercised by the paper's queries.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/scsq.hpp"
 
 namespace scsq {
@@ -156,6 +158,38 @@ TEST(EngineEdge, TwoCallsOfSameFunctionDoNotCollide) {
   ASSERT_EQ(r.results.size(), 1u);
   // Two counts (3 and 4) merged and counted: 2 elements.
   EXPECT_EQ(r.results[0].as_int(), 2);
+}
+
+// Stream-buffer settings the transport cannot run with are rejected
+// when the engine is built, as an scsql error naming the field and the
+// value — not by an abort once a query is running.
+void expect_config_error(const ScsqConfig& config, const std::string& field) {
+  try {
+    Scsq scsq(config);
+    ADD_FAILURE() << field << " = 0 was accepted";
+  } catch (const scsql::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+    EXPECT_NE(what.find("got 0"), std::string::npos) << what;
+  }
+}
+
+TEST(EngineEdge, ZeroBufferBytesIsAnError) {
+  ScsqConfig config;
+  config.exec.buffer_bytes = 0;
+  expect_config_error(config, "buffer_bytes");
+}
+
+TEST(EngineEdge, ZeroSendBuffersIsAnError) {
+  ScsqConfig config;
+  config.exec.send_buffers = 0;
+  expect_config_error(config, "send_buffers");
+}
+
+TEST(EngineEdge, ZeroRecvBuffersIsAnError) {
+  ScsqConfig config;
+  config.exec.recv_buffers = 0;
+  expect_config_error(config, "recv_buffers");
 }
 
 }  // namespace

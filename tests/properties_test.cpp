@@ -194,14 +194,13 @@ TEST_P(CutterSeed, ConservesBytesAndObjects) {
   std::size_t frame_objects = 0;
   std::uint64_t max_frame = 0;
   const int n = static_cast<int>(rng.uniform_int(1, 200));
-  std::vector<transport::Frame> scratch;  // reused across pushes, as the sender does
   for (int i = 0; i < n; ++i) {
     Object obj{SynthArray{static_cast<std::uint64_t>(rng.uniform_int(0, 50'000)), 0}};
     pushed_bytes += obj.marshaled_size();
     pushed_objects += 1;
-    scratch.clear();
-    cutter.push(std::move(obj), scratch);
-    for (auto& f : scratch) {
+    cutter.push(std::move(obj));
+    while (cutter.has_full()) {  // cut one frame at a time, as the sender does
+      const transport::Frame f = cutter.cut_full();
       frame_bytes += f.bytes;
       frame_objects += f.objects.size();
       max_frame = std::max(max_frame, f.bytes);

@@ -1,0 +1,23 @@
+#!/bin/sh
+# A bad engine setting must end scsql_shell with "scsql error: ..." on
+# stderr and exit status 1, never an abort.
+#
+# Usage: tests/shell_bad_config.sh <scsql_shell-binary>
+set -u
+shell=$1
+query="select extract(b) from sp a, sp b
+ where b=sp(streamof(count(extract(a))),'bg',0)
+ and a=sp(gen_array(1000,2),'bg',1);"
+status=0
+check() {
+  err=$(printf '%s\n' "$query" | env "$1" "$shell" 2>&1 > /dev/null)
+  rc=$?
+  if [ "$rc" -ne 1 ] || ! printf '%s\n' "$err" | grep -q '^scsql error: '; then
+    echo "$1: exit status $rc, stderr: $err"
+    status=1
+  fi
+}
+check SCSQ_BUFFER_BYTES=0
+check SCSQ_SEND_BUFFERS=0
+check SCSQ_SAMPLE_INTERVAL=abc
+exit $status

@@ -6,6 +6,7 @@
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
+#include "util/rng.hpp"
 
 namespace scsq::sim {
 namespace {
@@ -651,6 +652,126 @@ TEST(Simulator, DelayUntilPastIsImmediate) {
   sim.run();
   EXPECT_EQ(steps, 2);
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+}
+
+// ---------------------------------------------------------------------
+// Resource::use is the spelled-out acquire / delay / release
+// ---------------------------------------------------------------------
+
+// One logged moment of a random process mix: which process, which of
+// its holds, when, and the resource state right then.
+struct MixRecord {
+  int proc = 0;
+  int step = 0;
+  double t = 0.0;
+  int in_use = 0;
+  std::size_t queued = 0;
+  bool operator==(const MixRecord&) const = default;
+};
+
+struct MixLog {
+  std::vector<MixRecord> arrivals;  // just before each hold is requested
+  std::vector<MixRecord> grants;    // spelled-out form only: slot taken
+  std::vector<MixRecord> done;      // just after each hold is released
+};
+
+// A process's plan: before each hold, wait `gap` (0 = back to back).
+struct MixStep {
+  double gap = 0.0;
+  double hold = 0.0;
+};
+
+Task<void> mix_process(Simulator& sim, Resource& res, std::vector<MixStep> steps, int proc,
+                       bool spelled_out, MixLog& log) {
+  for (int i = 0; i < static_cast<int>(steps.size()); ++i) {
+    const MixStep& step = steps[static_cast<std::size_t>(i)];
+    co_await sim.delay(step.gap);
+    log.arrivals.push_back({proc, i, sim.now(), res.in_use(), res.queue_length()});
+    if (spelled_out) {
+      co_await res.acquire();
+      log.grants.push_back({proc, i, sim.now(), res.in_use(), res.queue_length()});
+      co_await sim.delay(step.hold);
+      res.release();
+    } else {
+      co_await res.use(step.hold);
+    }
+    log.done.push_back({proc, i, sim.now(), res.in_use(), res.queue_length()});
+  }
+}
+
+TEST(ResourceUseProperty, SameEventsAsAcquireDelayRelease) {
+  // Random process mixes on capacity-1 and capacity-2 resources, with
+  // zero holds, one shared hold length and distinct ones, so timestamps
+  // tie often. Each mix runs once with co_await use(d) and once with the
+  // spelled-out acquire / delay / release: completion times, the grant
+  // order, the kernel's counters and the busy integral must all match.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    util::Rng rng(seed);
+    const int capacity = static_cast<int>(rng.uniform_int(1, 2));
+    const int procs = static_cast<int>(rng.uniform_int(1, 6));
+    std::vector<std::vector<MixStep>> plans(static_cast<std::size_t>(procs));
+    for (auto& plan : plans) {
+      const int holds = static_cast<int>(rng.uniform_int(1, 8));
+      for (int i = 0; i < holds; ++i) {
+        MixStep step;
+        switch (rng.uniform_int(0, 2)) {
+          case 0: step.hold = 0.0; break;
+          case 1: step.hold = 0.25; break;
+          default: step.hold = rng.uniform(0.01, 1.0); break;
+        }
+        step.gap = rng.uniform_int(0, 2) == 0 ? 0.0 : 0.125 * rng.uniform_int(1, 4);
+        plan.push_back(step);
+      }
+    }
+    auto run = [&](bool spelled_out, MixLog& log, PerfCounters& perf, double& busy) {
+      Simulator sim;
+      Resource res(sim, capacity, "mix");
+      for (int p = 0; p < procs; ++p) {
+        sim.spawn(mix_process(sim, res, plans[static_cast<std::size_t>(p)], p, spelled_out,
+                              log));
+      }
+      sim.run();
+      EXPECT_EQ(sim.live_root_tasks(), 0u) << "seed " << seed;
+      perf = sim.perf();
+      busy = res.busy_seconds();
+    };
+    MixLog awaited, spelled;
+    PerfCounters awaited_perf, spelled_perf;
+    double awaited_busy = 0.0, spelled_busy = 0.0;
+    run(false, awaited, awaited_perf, awaited_busy);
+    run(true, spelled, spelled_perf, spelled_busy);
+
+    EXPECT_EQ(awaited.arrivals, spelled.arrivals) << "seed " << seed;
+    EXPECT_EQ(awaited.done, spelled.done) << "seed " << seed;
+    // Grant order: use() grants every hold at the instant the spelled-out
+    // form does (each hold ends at that grant time plus its hold, to the
+    // bit), and on one slot the holds end in the spelled-out grant order.
+    ASSERT_EQ(spelled.grants.size(), spelled.arrivals.size()) << "seed " << seed;
+    for (const MixRecord& g : spelled.grants) {
+      const auto& plan = plans[static_cast<std::size_t>(g.proc)];
+      const double hold = plan[static_cast<std::size_t>(g.step)].hold;
+      const double end = hold > 0.0 ? g.t + hold : g.t;
+      bool matched = false;
+      for (const MixRecord& d : awaited.done) {
+        if (d.proc == g.proc && d.step == g.step) matched = d.t == end;
+      }
+      EXPECT_TRUE(matched) << "seed " << seed << " proc " << g.proc << " hold " << g.step;
+    }
+    if (capacity == 1) {
+      ASSERT_EQ(awaited.done.size(), spelled.grants.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < awaited.done.size(); ++i) {
+        EXPECT_EQ(awaited.done[i].proc, spelled.grants[i].proc) << "seed " << seed;
+        EXPECT_EQ(awaited.done[i].step, spelled.grants[i].step) << "seed " << seed;
+      }
+    }
+    EXPECT_EQ(awaited_perf.events_dispatched, spelled_perf.events_dispatched) << "seed " << seed;
+    EXPECT_EQ(awaited_perf.heap_pushes, spelled_perf.heap_pushes) << "seed " << seed;
+    EXPECT_EQ(awaited_perf.fifo_pushes, spelled_perf.fifo_pushes) << "seed " << seed;
+    EXPECT_EQ(awaited_perf.wakeups, spelled_perf.wakeups) << "seed " << seed;
+    EXPECT_EQ(awaited_perf.peak_queue_depth, spelled_perf.peak_queue_depth) << "seed " << seed;
+    EXPECT_EQ(awaited_perf.callbacks_run, spelled_perf.callbacks_run) << "seed " << seed;
+    EXPECT_EQ(awaited_busy, spelled_busy) << "seed " << seed;
+  }
 }
 
 }  // namespace

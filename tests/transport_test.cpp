@@ -1,11 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "hw/machine.hpp"
 #include "transport/driver.hpp"
 #include "transport/frame.hpp"
 #include "transport/links.hpp"
 #include "transport/marshal.hpp"
 #include "util/rng.hpp"
+
+// This binary replaces the global allocation functions to count
+// operator new calls (the steady-state allocation test below).
+namespace {
+std::atomic<std::uint64_t> g_operator_new_calls{0};
+}  // namespace
+
+#pragma GCC diagnostic push
+// GCC pairs these with the library's allocation functions when it
+// inlines them and warns about the malloc/free pairing.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace scsq::transport {
 namespace {
@@ -248,10 +271,12 @@ TEST(MarshalProperty, FuzzAllPaths) {
 // FrameCutter
 // ---------------------------------------------------------------------
 
-// Adapter for the scratch-vector push API: collect the cut frames.
+// Adapter for the lazy-cut API: push one object, then cut every frame
+// that became full — what the sender driver does, one send per cut.
 std::vector<Frame> push_all(FrameCutter& cutter, Object obj) {
   std::vector<Frame> out;
-  cutter.push(std::move(obj), out);
+  cutter.push(std::move(obj));
+  while (cutter.has_full()) out.push_back(cutter.cut_full());
   return out;
 }
 
@@ -375,21 +400,19 @@ TEST(FramePool, CutterStreamsFromRecycledPoolStayClean) {
   // everything, then run a second stream from the same pool: no frame of
   // the second stream may inherit eos, bytes, or leftover objects.
   FramePool pool;
-  std::vector<Frame> scratch;
   {
     FrameCutter cutter(10, &pool);
-    cutter.push(Object{std::string("0123456789abcdef")}, scratch);
+    auto frames = push_all(cutter, Object{std::string("0123456789abcdef")});
     Frame last = cutter.finish();
     EXPECT_TRUE(last.eos);
     pool.recycle(std::move(last));
-    for (auto& f : scratch) pool.recycle(std::move(f));
-    scratch.clear();
+    for (auto& f : frames) pool.recycle(std::move(f));
   }
   FrameCutter cutter(10, &pool);
-  cutter.push(Object{std::string("fresh stream bytes")}, scratch);
-  ASSERT_FALSE(scratch.empty());
+  auto frames = push_all(cutter, Object{std::string("fresh stream bytes")});
+  ASSERT_FALSE(frames.empty());
   EXPECT_GT(pool.reused(), 0u);
-  for (const auto& f : scratch) {
+  for (const auto& f : frames) {
     EXPECT_FALSE(f.eos);
     EXPECT_LE(f.objects.size(), 1u);
   }
@@ -399,22 +422,22 @@ TEST(FramePool, SteadyStateSynthStreamConstructsNoNewFrames) {
   // The zero-churn invariant behind the transport.frame_pool.* gauges:
   // acquired - reused counts frames ever default-constructed, and it
   // must stay flat once the free list has warmed up — a second identical
-  // SynthArray stream runs entirely on recycled frames.
+  // SynthArray stream runs entirely on recycled frames. Cutting lazily,
+  // each frame is recycled before the next is cut, so the first stream
+  // already runs on a single frame.
   FramePool pool;
-  std::vector<Frame> scratch;
   auto run_stream = [&] {
     FrameCutter cutter(1000, &pool);
     for (int i = 0; i < 8; ++i) {
-      scratch.clear();
-      cutter.push(Object{SynthArray{100'000, static_cast<std::uint64_t>(i)}}, scratch);
-      for (auto& f : scratch) pool.recycle(std::move(f));
+      cutter.push(Object{SynthArray{100'000, static_cast<std::uint64_t>(i)}});
+      while (cutter.has_full()) pool.recycle(cutter.cut_full());
     }
-    scratch.clear();
     pool.recycle(cutter.finish());
   };
   run_stream();
   const std::uint64_t constructed = pool.acquired() - pool.reused();
   EXPECT_GT(pool.reused(), 0u);
+  EXPECT_EQ(constructed, 1u);
   run_stream();
   EXPECT_EQ(pool.acquired() - pool.reused(), constructed)
       << "second stream constructed fresh frames — pool recycling broke";
@@ -431,9 +454,12 @@ struct Pipe {
   std::unique_ptr<ReceiverDriver> rx;
   std::unique_ptr<SenderDriver> tx;
 
-  Pipe(hw::Location src, hw::Location dst, std::uint64_t buffer_bytes, int send_buffers) {
+  /// `pooled`: cut frames from the machine's FramePool, as the engine does.
+  Pipe(hw::Location src, hw::Location dst, std::uint64_t buffer_bytes, int send_buffers,
+       bool pooled = false) {
     params.buffer_bytes = buffer_bytes;
     params.send_buffers = send_buffers;
+    if (pooled) params.frame_pool = &machine.pool_of(src);
     rx = std::make_unique<ReceiverDriver>(sim, params, machine.cpu_of(dst));
     auto link = make_link(machine, src, dst, rx->inbox(), /*source_tag=*/1);
     tx = std::make_unique<SenderDriver>(sim, params, machine.cpu_of(src), std::move(link), 1);
@@ -597,6 +623,46 @@ TEST(Drivers, LingerPreservesOrderWithLaterPushes) {
   p.sim.run();
   ASSERT_EQ(got.size(), 20u);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)].as_int(), i + 1);
+}
+
+// Global operator new calls while one MPI pipe streams 30 KB
+// SynthArrays over 1000-byte buffers (31 frames, so 31 torus messages,
+// per array): `warmup` arrays first, then `arrays` more — only the
+// second stretch is counted.
+std::uint64_t new_calls_after_warmup(int warmup, int arrays) {
+  Pipe p({"bg", 1}, {"bg", 0}, 1000, 2, /*pooled=*/true);
+  std::uint64_t start = 0;
+  std::uint64_t end = 0;
+  std::size_t received = 0;
+  p.sim.spawn([](SenderDriver& tx, int warm, int n, std::uint64_t& from,
+                 std::uint64_t& to) -> sim::Task<void> {
+    for (int i = 0; i < warm + n; ++i) {
+      if (i == warm) from = g_operator_new_calls.load();
+      co_await tx.push(Object{SynthArray{30'000, static_cast<std::uint64_t>(i)}});
+    }
+    to = g_operator_new_calls.load();
+    co_await tx.finish();
+  }(*p.tx, warmup, arrays, start, end));
+  p.sim.spawn([](ReceiverDriver& rx, std::size_t& count) -> sim::Task<void> {
+    while (co_await rx.next()) ++count;
+  }(*p.rx, received));
+  p.sim.run();
+  EXPECT_EQ(received, static_cast<std::size_t>(warmup + arrays));
+  return end - start;
+}
+
+TEST(Drivers, SteadyStateMpiStreamAllocatesNothingPerFrame) {
+  // DESIGN.md §5.4's zero-churn rule on the MPI frame path: once a
+  // stream is warm (frame pool, coroutine-frame pool, kernel queues and
+  // the linger-timer slab at their working sizes), streaming N or 2N
+  // more arrays costs the same number of operator new calls, whatever
+  // the frame count.
+  constexpr int kWarmup = 100;
+  constexpr int kArrays = 50;
+  const std::uint64_t n = new_calls_after_warmup(kWarmup, kArrays);
+  const std::uint64_t two_n = new_calls_after_warmup(kWarmup, 2 * kArrays);
+  EXPECT_EQ(two_n, n) << "operator new calls grow with the frame count: " << n << " for "
+                      << kArrays * 31 << " frames, " << two_n << " for " << 2 * kArrays * 31;
 }
 
 TEST(Drivers, BackpressureBoundsInbox) {

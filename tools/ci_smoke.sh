@@ -262,8 +262,17 @@ if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/nu
   cmake -B "$BUILD-asan" -S . -DSCSQ_ASAN=ON > /dev/null
   cmake --build "$BUILD-asan" -j"$(nproc)" \
     --target transport_test monitor_test bench_kernels \
-    sim_queue_fuzz_test properties_test > /dev/null
+    sim_queue_fuzz_test properties_test sim_test net_test bench_fig8_merge > /dev/null
   "$BUILD-asan/tests/transport_test"
+  # Resource::use() parks its caller directly (no coroutine frame) unless
+  # it must queue, and torus messages run on compiled paths that the
+  # links own: the kernel and network suites check their lifetimes.
+  "$BUILD-asan/tests/sim_test"
+  "$BUILD-asan/tests/net_test"
+  # Fig. 8 routes through an intermediate co-processor (multi-hop
+  # compiled paths) and contends for it (the queued use() path); its
+  # quick table must still match the golden copy.
+  tests/golden/check.sh "$BUILD-asan/bench/bench_fig8_merge" tests/golden/fig8_merge.txt
   # Ladder-queue differential fuzz + the zero-alloc frame-pool property
   # under ASAN/LSAN: rung/bottom recycling and coroutine-frame reuse must
   # be clean (no use-after-recycle, no leaked chunks at exit).

@@ -248,37 +248,39 @@ int main(int argc, char** argv) {
 
   std::signal(SIGINT, on_sigint);
 
-  scsq::Scsq scsq(config);
-  scsq::sim::Trace trace;
-  const char* trace_path = std::getenv("SCSQ_TRACE");
-  if (trace_path != nullptr) scsq.machine().set_trace(&trace);
-  scsq::exec::RunReport last_report;
-  bool have_report = false;
-  bool watch_on = scsq.engine().sampler().enabled();  // SCSQ_SAMPLE_INTERVAL
-  std::string watch_series = "transport.link.bytes";
-  // Live \watch: one flushed line per window, as the run progresses.
-  scsq.engine().add_window_listener(
-      [&](const scsq::obs::Sampler::Window& w, std::size_t) {
-        if (watch_on) print_watch_window(w, watch_series);
-      });
-  const auto run_pending = [&](std::string& pending) {
-    for (const auto& statement : scsq::scsql::parse_script(pending)) {
-      if (statement.function) {
-        scsq.engine().register_function(statement.function);
-        std::printf("-- registered function '%s'\n", statement.function->name.c_str());
-        continue;
-      }
-      std::printf(">> %s;\n", statement.query->to_string().c_str());
-      last_report = scsq.engine().run_statement(statement);
-      have_report = true;
-      print_report(last_report, verbose);
-      if (watch_on) print_watch_summary(scsq, watch_series);
-      print_monitor_summary(scsq);
-    }
-    pending.clear();
-  };
-
+  // Everything from building the engine on can reject bad input (an
+  // environment knob, a statement): report it as an scsql error.
   try {
+    scsq::Scsq scsq(config);
+    scsq::sim::Trace trace;
+    const char* trace_path = std::getenv("SCSQ_TRACE");
+    if (trace_path != nullptr) scsq.machine().set_trace(&trace);
+    scsq::exec::RunReport last_report;
+    bool have_report = false;
+    bool watch_on = scsq.engine().sampler().enabled();  // SCSQ_SAMPLE_INTERVAL
+    std::string watch_series = "transport.link.bytes";
+    // Live \watch: one flushed line per window, as the run progresses.
+    scsq.engine().add_window_listener(
+        [&](const scsq::obs::Sampler::Window& w, std::size_t) {
+          if (watch_on) print_watch_window(w, watch_series);
+        });
+    const auto run_pending = [&](std::string& pending) {
+      for (const auto& statement : scsq::scsql::parse_script(pending)) {
+        if (statement.function) {
+          scsq.engine().register_function(statement.function);
+          std::printf("-- registered function '%s'\n", statement.function->name.c_str());
+          continue;
+        }
+        std::printf(">> %s;\n", statement.query->to_string().c_str());
+        last_report = scsq.engine().run_statement(statement);
+        have_report = true;
+        print_report(last_report, verbose);
+        if (watch_on) print_watch_summary(scsq, watch_series);
+        print_monitor_summary(scsq);
+      }
+      pending.clear();
+    };
+
     // Line-based pass so shell commands (\metrics, \explain analyze,
     // \profile) can punctuate the SCSQL statements; the text between
     // commands goes to the parser unchanged.
@@ -409,14 +411,14 @@ int main(int argc, char** argv) {
       print_profile(scsq, have_report ? &last_report : nullptr);
     }
     run_pending(pending);
+    if (trace_path != nullptr) {
+      std::ofstream out(trace_path);
+      trace.write_json(out);
+      std::printf("-- trace (%zu events) written to %s\n", trace.size(), trace_path);
+    }
   } catch (const scsq::scsql::Error& e) {
     std::fprintf(stderr, "scsql error: %s\n", e.what());
     return 1;
-  }
-  if (trace_path != nullptr) {
-    std::ofstream out(trace_path);
-    trace.write_json(out);
-    std::printf("-- trace (%zu events) written to %s\n", trace.size(), trace_path);
   }
   return 0;
 }
