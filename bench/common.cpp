@@ -20,22 +20,7 @@ std::atomic<std::uint64_t> g_wakeups{0};
 std::atomic<std::uint64_t> g_peak_queue_depth{0};
 std::atomic<std::uint64_t> g_rung_spills{0};
 std::atomic<std::uint64_t> g_cancel_consumed{0};
-// LP affinity of the sweep's runs (max over points — points are
-// homogeneous within one bench, so max == the common value).
-std::atomic<int> g_lps_requested{1};
-std::atomic<int> g_lps_effective{1};
 std::chrono::steady_clock::time_point g_harness_start;
-
-void note_lps(int requested, int effective) {
-  int seen = g_lps_requested.load(std::memory_order_relaxed);
-  while (requested > seen &&
-         !g_lps_requested.compare_exchange_weak(seen, requested, std::memory_order_relaxed)) {
-  }
-  seen = g_lps_effective.load(std::memory_order_relaxed);
-  while (effective > seen &&
-         !g_lps_effective.compare_exchange_weak(seen, effective, std::memory_order_relaxed)) {
-  }
-}
 
 void append_json_escaped(std::string& out, std::string_view s) {
   for (unsigned char c : s) {
@@ -59,36 +44,6 @@ void append_json_escaped(std::string& out, std::string_view s) {
 bool quick_mode() { return std::getenv("SCSQ_BENCH_QUICK") != nullptr; }
 
 unsigned bench_threads() { return util::ThreadPool::default_threads(); }
-
-int sim_lps() {
-  if (const char* env = std::getenv("SCSQ_SIM_LPS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<int>(v);
-  }
-  return 1;
-}
-
-unsigned plp_workers(int lps) {
-  unsigned workers = lps < 1 ? 1u : static_cast<unsigned>(lps);
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  if (workers > hw) workers = hw;
-  const unsigned sweep_threads = std::max(1u, bench_threads());
-  if (sweep_threads * workers > hw) {
-    const unsigned capped = std::max(1u, hw / sweep_threads);
-    // Warn once per process: sweeps call this per point.
-    static std::atomic<bool> warned{false};
-    if (capped < workers && !warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "[harness] oversubscribed: %u sweep threads x %d LPs > %u hardware threads; "
-                   "capping LP workers at %u (results unaffected)\n",
-                   sweep_threads, lps, hw, capped);
-    }
-    workers = capped;
-  }
-  return workers;
-}
 
 int arrays_for_buffer(std::uint64_t buffer_bytes) {
   const int full = quick_mode() ? 10 : kFullArrays;
@@ -120,15 +75,11 @@ double run_query_mbps(const std::string& query, std::uint64_t payload_bytes,
   cfg.cost = cost;
   cfg.exec.buffer_bytes = buffer_bytes;
   cfg.exec.send_buffers = send_buffers;
-  // Traces need one timeline; the LP count is byte-invisible, so the
-  // traced repetition still measures the same run (DESIGN.md §5.9).
-  cfg.force_single_lp = capture && capture->want_trace;
   Scsq scsq(cfg);
   sim::Trace trace;
   if (capture && capture->want_trace) scsq.machine().set_trace(&trace);
   auto report = scsq.run(query);
-  harness_count_perf(scsq.machine().perf_total());
-  note_lps(report.sim_lps_requested, report.sim_lps_effective);
+  harness_count_perf(scsq.sim().perf());
   if (capture) {
     // Post-run: snapshotting cannot perturb the simulated timing above.
     scsq.machine().publish_metrics();
@@ -192,8 +143,6 @@ void harness_begin() {
   g_peak_queue_depth.store(0, std::memory_order_relaxed);
   g_rung_spills.store(0, std::memory_order_relaxed);
   g_cancel_consumed.store(0, std::memory_order_relaxed);
-  g_lps_requested.store(1, std::memory_order_relaxed);
-  g_lps_effective.store(1, std::memory_order_relaxed);
   g_harness_start = std::chrono::steady_clock::now();
 }
 
@@ -203,13 +152,11 @@ void harness_end(std::size_t points) {
       std::chrono::duration_cast<std::chrono::duration<double>>(elapsed).count();
   const auto events = g_sim_events.load(std::memory_order_relaxed);
   std::fprintf(stderr,
-               "[harness] %zu sweep points on %u thread(s), lps=%d/%d (requested/effective): "
+               "[harness] %zu sweep points on %u thread(s): "
                "%.2f s wall, %llu simulated events, %.2fM events/s, "
                "peak queue depth %llu, %llu wakeups, %llu rung spills, "
                "%llu cancelled timers\n",
-               points, bench_threads(),
-               g_lps_requested.load(std::memory_order_relaxed),
-               g_lps_effective.load(std::memory_order_relaxed), wall_s,
+               points, bench_threads(), wall_s,
                static_cast<unsigned long long>(events),
                wall_s > 0.0 ? static_cast<double>(events) / wall_s / 1e6 : 0.0,
                static_cast<unsigned long long>(

@@ -21,7 +21,6 @@
 
 #include <exception>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -67,25 +66,11 @@ struct ExecOptions {
   double max_sim_time_s = 1e6;
   /// Batch depth for batch-at-a-time SQEP execution. 0 = resolve from
   /// the SCSQ_BATCH_SIZE environment variable at engine construction
-  /// (default 256); 1 = exact per-item execution with no fusion pass.
+  /// (default 256; a value that is not a positive integer is an
+  /// scsql::Error); 1 = exact per-item execution with no fusion pass.
   /// Simulated timing is bitwise-identical at every depth — only the
   /// host-side work per simulated item changes.
   std::size_t batch_size = 0;
-  /// Logical-process count for the conservative partition of the
-  /// simulated hardware (sim/lp_domain.hpp, hw::make_partition). 0 =
-  /// resolve from the SCSQ_SIM_LPS environment variable at engine
-  /// construction (default 1, clamped to the pset count). On a machine
-  /// built over an LpDomain the domain's LP count is authoritative and
-  /// this knob is overwritten with it. The partition assigns every RP an
-  /// LP affinity (RpStat::lp, engine.rp.lp) and the data plane really
-  /// runs across those LPs: per-LP frame pools, frozen per-run
-  /// coordination-factor snapshots and split TCP links remove the
-  /// zero-lookahead couplings, and reported tables stay byte-identical
-  /// at every LP count (DESIGN.md §5.9). The drive still falls back to
-  /// one LP when every RP of a statement lands on LP 0, when traces are
-  /// recorded, or when max_results / a sample interval demand the
-  /// sequential path (engine.sim_lps.effective reports the outcome).
-  int sim_lps = 0;
   /// Telemetry sampling window in simulated seconds (obs/sampler.hpp).
   /// < 0 = resolve from the SCSQ_SAMPLE_INTERVAL environment variable at
   /// engine construction (unset/non-positive = off), 0 = off. Sampling
@@ -120,7 +105,6 @@ struct RpStat {
   std::uint64_t batches = 0;      // non-empty batches the SQEP root delivered
   std::uint64_t batch_items = 0;  // items across those batches (mean fill
                                   // = batch_items / batches)
-  int lp = 0;  // logical process owning this RP's node (hw::LpPartition)
 };
 
 struct RunReport {
@@ -137,12 +121,6 @@ struct RunReport {
   /// True when the CQ was terminated by a stop condition (max_results)
   /// or the simulated-time limit rather than by its streams ending.
   bool stopped = false;
-  /// LP count of the machine partition (SCSQ_SIM_LPS after clamping).
-  int sim_lps_requested = 1;
-  /// Distinct LPs the statement's RPs actually landed on — the LP count
-  /// the data plane was driven with (> 1 means the windowed parallel
-  /// runtime ran it).
-  int sim_lps_effective = 1;
 };
 
 class Engine {
@@ -177,12 +155,6 @@ class Engine {
   hw::Machine& machine() { return *machine_; }
   const ExecOptions& options() const { return options_; }
 
-  /// Environment resolution for the LP-count and sample-interval knobs,
-  /// shared with core::Scsq (which must size the machine's LpDomain
-  /// *before* this engine exists, with exactly the same rules).
-  static int resolve_sim_lps_env(int configured);
-  static double resolve_sample_interval_env(double configured);
-
   /// The sim-time telemetry sampler. Always constructed (cheap when
   /// disabled); windows() holds the last statement's time series.
   obs::Sampler& sampler() { return *sampler_; }
@@ -202,7 +174,7 @@ class Engine {
   };
 
   /// Registers a continuous monitor query over the introspection streams
-  /// (system.metrics / system.gauges / system.rates / system.lp). The
+  /// (system.metrics / system.gauges / system.rates). The
   /// query is parsed and plan-validated now (throws scsql::Error on
   /// malformed or non-introspection queries) and then re-executed at
   /// every sampler window boundary of every subsequent statement, as a
@@ -231,14 +203,6 @@ class Engine {
   /// time. Listeners persist across statements.
   void add_window_listener(
       std::function<void(const obs::Sampler::Window&, std::size_t)> fn);
-
-  /// Provider of per-LP live samples for the system.lp() source,
-  /// typically a sim::plp::Runtime::live_sample binding. Without one the
-  /// engine synthesizes one deterministic row per partition LP.
-  using LpLiveSource = std::function<std::vector<sim::plp::LpLiveSample>()>;
-  void set_lp_live_source(LpLiveSource source) {
-    lp_live_source_ = std::move(source);
-  }
 
  private:
   struct Rp {
@@ -278,9 +242,7 @@ class Engine {
   Rp& find_rp(std::uint64_t id);
   sim::Task<void> run_rp(Rp& rp);
   void publish_rp_metrics(const RpStat& stat);
-  /// Distinct LPs over the current statement's RP locations.
-  int count_effective_lps() const;
-  /// Records an exception from any LP thread (first one wins).
+  /// Records an exception of the running statement (first one wins).
   void record_error(std::exception_ptr e);
 
   /// Stops the CQ: future RP loop iterations terminate and all inboxes
@@ -305,12 +267,10 @@ class Engine {
   /// discarded (register-time validation on an empty feed).
   void run_monitor(Monitor& monitor, const plan::IntrospectFeed& feed, bool dry_run);
 
-  std::vector<sim::plp::LpLiveSample> lp_samples(double t_end) const;
   void install_window_observer();
 
   hw::Machine* machine_;
   ExecOptions options_;
-  hw::LpPartition partition_;  // RP -> LP affinity (options_.sim_lps)
   std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<ClusterCoordinator> fe_cc_;
   std::unique_ptr<ClusterCoordinator> be_cc_;
@@ -326,26 +286,11 @@ class Engine {
   std::vector<catalog::Object>* results_sink_ = nullptr;
   bool stop_requested_ = false;
   std::exception_ptr error_;
-  std::mutex error_mu_;  // run_rp runs on every LP; first error wins
-
-  // --- two-phase parallel drive (LpDomain machines) ---
-  // Phase A runs binding + wiring on LP 0 only; execute() then freezes
-  // the fabric factors and parks on this gate. run_statement schedules
-  // the RP starts (single-threaded), releases the gate and drives either
-  // LP 0 alone (every RP on LP 0) or the whole windowed domain.
-  std::unique_ptr<sim::Event> phase_gate_;
-  bool phase_ready_ = false;
-  int effective_lps_ = 1;
-  // Set during wiring when a cross-pset MPI stream (torus per-hop state
-  // spans the partition below the lookahead) forces the zero-lookahead
-  // sequenced drive instead of windowed parallelism.
-  bool sequenced_drive_ = false;
 
   std::vector<Monitor> monitors_;
   std::vector<obs::MonitorAlert> monitor_alerts_;
   std::vector<std::function<void(const obs::Sampler::Window&, std::size_t)>>
       window_listeners_;
-  LpLiveSource lp_live_source_;
   std::uint64_t next_monitor_id_ = 1;
   std::string monitor_out_path_;        // SCSQ_MONITOR_OUT, "" = off
   std::exception_ptr monitor_error_;    // first monitor failure of the run

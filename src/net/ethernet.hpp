@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,9 +37,9 @@ struct EthernetParams {
   double imbalance_coeff = 0.17;         // sender NIC penalty per unit flow imbalance
 
   /// Lower bound on the latency of any Ethernet transfer: the
-  /// per-message syscall overhead plus one byte of goodput. Strictly
-  /// positive — the conservative parallel runtime (sim/plp.hpp) uses it
-  /// as the lookahead of LP channels that cross the LAN.
+  /// per-message syscall overhead plus one byte of goodput. The TCP
+  /// links charge it as the flow-control credit latency (the window slot
+  /// of a delivered frame frees this long after delivery).
   double min_link_latency() const {
     return per_message_overhead_s + 1.0 / (nic_bandwidth_Bps * tcp_efficiency);
   }
@@ -57,11 +56,7 @@ class EthernetFabric {
 
   /// Registers a host; returns its id. `is_ionode` marks BlueGene I/O
   /// nodes, which participate in the distinct-sender coordination count.
-  /// `sim` (optional) places the host's NIC resources on a specific LP
-  /// Simulator — multi-LP machines pass the host's owning LP; nullptr
-  /// keeps the fabric's construction Simulator (single-LP layout).
-  int add_host(std::string name, bool is_ionode = false,
-               sim::Simulator* sim = nullptr);
+  int add_host(std::string name, bool is_ionode = false);
   int host_count() const { return static_cast<int>(hosts_.size()); }
   const std::string& host_name(int host) const { return hosts_.at(host).name; }
 
@@ -79,10 +74,7 @@ class EthernetFabric {
   int distinct_senders_to_ionodes() const;
 
   /// Open flows into a given host.
-  int flows_into(int host) const {
-    std::lock_guard<std::mutex> lock(flows_mu_);
-    return hosts_.at(host).inbound_flows;
-  }
+  int flows_into(int host) const { return hosts_.at(host).inbound_flows; }
 
   /// Sender-side imbalance factor for `src` (>= 1): grows when the hosts
   /// it sends to have uneven inbound flow counts.
@@ -114,11 +106,6 @@ class EthernetFabric {
   sim::Simulator* sim_;
   EthernetParams params_;
   std::vector<Host> hosts_;
-  // Flow registry. On multi-LP machines flows close from whichever LP
-  // thread observes a stream's EOS, so the registry (and the per-host
-  // inbound counts it maintains) is mutex-guarded; single-LP machines
-  // pay one uncontended lock per flow event, never per byte.
-  mutable std::mutex flows_mu_;
   std::map<FlowId, Flow> flows_;
   FlowId next_flow_ = 1;
 };

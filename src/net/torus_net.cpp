@@ -5,17 +5,15 @@
 
 namespace scsq::net {
 
-TorusNetwork::TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params,
-                           std::function<sim::Simulator&(int)> node_sim)
-    : sim_(&sim), topology_(topology), params_(params), node_sim_(std::move(node_sim)) {
+TorusNetwork::TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params)
+    : sim_(&sim), topology_(topology), params_(params) {
   const int n = topology_.node_count();
   coprocs_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    coprocs_.push_back(std::make_unique<sim::Resource>(this->node_sim(i), 1,
-                                                       "coproc" + std::to_string(i)));
+    coprocs_.push_back(
+        std::make_unique<sim::Resource>(sim, 1, "coproc" + std::to_string(i)));
   }
   inbound_streams_.assign(n, 0);
-  tx_.assign(static_cast<std::size_t>(n), TxCounters{});
   switch_seconds_by_dst_.assign(static_cast<std::size_t>(n), 0.0);
 }
 
@@ -53,7 +51,7 @@ sim::Resource& TorusNetwork::link(int from, int to) {
   if (it == links_.end()) {
     it = links_
              .emplace(key, std::make_unique<sim::Resource>(
-                               node_sim(from), 1,
+                               *sim_, 1,
                                "link" + std::to_string(from) + "->" + std::to_string(to)))
              .first;
   }
@@ -65,12 +63,10 @@ TorusPath TorusNetwork::compile_path(int from, int to) {
   TorusPath path;
   path.from = from;
   path.to = to;
-  path.sim = &node_sim(from);
   path.src_coproc = &coproc(from);
   path.dst_coproc = &coproc(to);
   path.hops.reserve(route.size() - 1);
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    if (&node_sim(route[i + 1]) != path.sim) path.single_lp = false;
     path.hops.push_back({&link(route[i], route[i + 1]), &coproc(route[i + 1])});
   }
   return path;
@@ -117,22 +113,15 @@ double TorusNetwork::switch_seconds() const {
 }
 
 void TorusNetwork::publish_metrics(obs::Registry& registry) const {
-  TxCounters total;
-  for (const auto& t : tx_) {
-    total.messages += t.messages;
-    total.packets += t.packets;
-    total.rendezvous_messages += t.rendezvous_messages;
-    total.payload_bytes += t.payload_bytes;
-  }
-  registry.counter("torus.messages").set_total(total.messages);
-  registry.counter("torus.packets").set_total(total.packets);
-  registry.counter("torus.rendezvous_messages").set_total(total.rendezvous_messages);
-  registry.counter("torus.payload_bytes").set_total(total.payload_bytes);
+  registry.counter("torus.messages").set_total(tx_.messages);
+  registry.counter("torus.packets").set_total(tx_.packets);
+  registry.counter("torus.rendezvous_messages").set_total(tx_.rendezvous_messages);
+  registry.counter("torus.payload_bytes").set_total(tx_.payload_bytes);
   registry.gauge("torus.coproc.switch_s").set(switch_seconds());
   const int n = topology_.node_count();
   for (const auto& [key, link] : links_) {
-    // Prewarmed-but-idle links would flood the snapshot with zero rows
-    // (and make it depend on the LP count); publish used links only.
+    // Compiled-but-idle links would flood the snapshot with zero rows;
+    // publish used links only.
     if (link->busy_seconds() <= 0.0) continue;
     const int from = static_cast<int>(key / static_cast<std::uint64_t>(n));
     const int to = static_cast<int>(key % static_cast<std::uint64_t>(n));
@@ -161,7 +150,7 @@ double TorusNetwork::link_busy_seconds(int from, int to) const {
 void TorusNetwork::transmit_async(const TorusPath& path, std::uint64_t payload_bytes,
                                   std::uint64_t source_tag, sim::Event* sender_free,
                                   sim::Event* delivered) {
-  path.sim->spawn(transmit_impl(path, payload_bytes, source_tag, sender_free, delivered));
+  sim_->spawn(transmit_impl(path, payload_bytes, source_tag, sender_free, delivered));
 }
 
 sim::Task<void> TorusNetwork::transmit(int from, int to, std::uint64_t payload_bytes,
@@ -172,7 +161,7 @@ sim::Task<void> TorusNetwork::transmit(int from, int to, std::uint64_t payload_b
 void TorusNetwork::transmit_async(int from, int to, std::uint64_t payload_bytes,
                                   std::uint64_t source_tag, sim::Event* sender_free,
                                   sim::Event* delivered) {
-  node_sim(from).spawn(
+  sim_->spawn(
       transmit_owned(compile_path(from, to), payload_bytes, source_tag, sender_free, delivered));
 }
 
@@ -188,11 +177,10 @@ sim::Task<void> TorusNetwork::transmit_impl(const TorusPath& path, std::uint64_t
   // A copy: messages of another size may re-memoize the path while this
   // one is in flight.
   const TorusPath::Costs c = costs(path, payload_bytes);
-  auto& tx = tx_[static_cast<std::size_t>(path.from)];
-  tx.messages += 1;
-  tx.packets += c.packets;
-  tx.payload_bytes += payload_bytes;
-  if (c.rendezvous) tx.rendezvous_messages += 1;
+  tx_.messages += 1;
+  tx_.packets += c.packets;
+  tx_.payload_bytes += payload_bytes;
+  if (c.rendezvous) tx_.rendezvous_messages += 1;
 
   co_await path.src_coproc->use(c.send_hold_s);
 

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -67,31 +66,16 @@ struct TorusParams {
   // same cache ramp). Second contributor to the Fig. 6 decline.
   double memory_slowdown_max = 0.18;
 
-  /// Lower bound on the latency of any torus message: fixed MPI send
-  /// cost, sender co-processor handling of one packet, and one packet's
-  /// wire time on a single link. Strictly positive — the conservative
-  /// parallel runtime (sim/plp.hpp) uses it as the lookahead of LP
-  /// channels that cross the torus.
-  double min_link_latency() const {
-    return per_message_overhead_s + send_per_packet_s +
-           static_cast<double>(packet_bytes) / link_bandwidth_Bps;
-  }
 };
 
-/// A route resolved once (TorusNetwork::compile_path): the Simulator
-/// that runs its messages and every co-processor and directed link a
-/// message holds, in order, plus a memo of the payload-size-dependent
-/// costs. A stream compiles its path when it is wired and reuses it for
+/// A route resolved once (TorusNetwork::compile_path): every
+/// co-processor and directed link a message holds, in order, plus a memo
+/// of the payload-size-dependent costs. A stream compiles its path when it is wired and reuses it for
 /// every message, so the per-message work is the resource holds alone.
 /// The path must outlive every transfer started on it.
 struct TorusPath {
   int from = 0;
   int to = 0;
-  /// Owner of the source node's resources: message coroutines run here.
-  sim::Simulator* sim = nullptr;
-  /// True when every resource on the route belongs to `sim` — the route
-  /// stays inside one LP of a partitioned machine.
-  bool single_lp = true;
   sim::Resource* src_coproc = nullptr;
   sim::Resource* dst_coproc = nullptr;
   /// One entry per hop: the directed link, then the co-processor of the
@@ -121,23 +105,17 @@ struct TorusPath {
 
 class TorusNetwork {
  public:
-  /// `node_sim` (optional) maps a node id to the LP Simulator that owns
-  /// its resources (co-processor, outgoing links) — multi-LP machines
-  /// pass their partition lookup; empty keeps everything on `sim`.
-  TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params,
-               std::function<sim::Simulator&(int)> node_sim = {});
+  TorusNetwork(sim::Simulator& sim, Torus3D topology, TorusParams params);
 
   TorusNetwork(const TorusNetwork&) = delete;
   TorusNetwork& operator=(const TorusNetwork&) = delete;
 
   /// Resolves route(from, to) into a TorusPath, creating any directed
-  /// link on it that does not exist yet. Multi-LP machines compile every
-  /// route they will drive in parallel up front, so the link map never
-  /// mutates during the concurrent phase (and check single_lp).
+  /// link on it that does not exist yet.
   TorusPath compile_path(int from, int to);
 
   /// Starts transferring one message of `payload_bytes` along `path` in
-  /// the background, on the path's Simulator. `source_tag` identifies
+  /// the background. `source_tag` identifies
   /// the logical stream; distinct producers must pass distinct tags.
   /// `sender_free` (if non-null) is set once the payload has fully left
   /// the sending node (send buffer reusable — how the MPI driver
@@ -178,12 +156,6 @@ class TorusNetwork {
   /// The communication co-processor of a node (capacity 1).
   sim::Resource& coproc(int node) { return *coprocs_.at(node); }
 
-  /// The LP Simulator owning a node's resources (the construction
-  /// Simulator when no node_sim mapping was given).
-  sim::Simulator& node_sim(int node) const {
-    return node_sim_ ? node_sim_(node) : *sim_;
-  }
-
   /// Stream registration: links declare a live inbound stream at `node`
   /// so receive handling can charge the expected source-switch cost.
   void register_inbound_stream(int node);
@@ -223,24 +195,20 @@ class TorusNetwork {
   sim::Simulator* sim_;
   Torus3D topology_;
   TorusParams params_;
-  std::function<sim::Simulator&(int)> node_sim_;
   std::vector<std::unique_ptr<sim::Resource>> coprocs_;
-  // Directed links created lazily, keyed by from * node_count + to
-  // (multi-LP machines compile their routes up front — compile_path).
+  // Directed links created lazily, keyed by from * node_count + to.
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::Resource>> links_;
   // Live inbound stream count per node (source-switch expectation).
   std::vector<int> inbound_streams_;
-  // Cumulative transmit totals, sharded by node so concurrent LPs never
-  // share a counter: tx_ is indexed by the sending node (only its LP
-  // increments it), switch_seconds_by_dst_ by the receiving node.
-  // publish_metrics / switch_seconds() sum over the shards.
+  // Cumulative transmit totals. Source-switch seconds are kept per
+  // receiving node and summed in node order by switch_seconds().
   struct TxCounters {
     std::uint64_t messages = 0;
     std::uint64_t packets = 0;
     std::uint64_t rendezvous_messages = 0;
     std::uint64_t payload_bytes = 0;
   };
-  std::vector<TxCounters> tx_;
+  TxCounters tx_;
   std::vector<double> switch_seconds_by_dst_;
 };
 

@@ -3,38 +3,27 @@
 namespace scsq::net {
 
 TreeNetwork::TreeNetwork(sim::Simulator& sim, int pset_count, int compute_count,
-                         TreeParams params, std::function<sim::Simulator&(int)> pset_sim,
-                         std::function<sim::Simulator&(int)> rank_sim)
+                         TreeParams params)
     : sim_(&sim), params_(params) {
   SCSQ_CHECK(pset_count >= 1) << "need at least one pset";
   SCSQ_CHECK(compute_count >= 1) << "need at least one compute node";
   for (int i = 0; i < pset_count; ++i) {
-    sim::Simulator& owner = pset_sim ? pset_sim(i) : sim;
     io_cpus_.push_back(
-        std::make_unique<sim::Resource>(owner, 1, "io" + std::to_string(i) + ".cpu"));
+        std::make_unique<sim::Resource>(sim, 1, "io" + std::to_string(i) + ".cpu"));
     tree_links_.push_back(
-        std::make_unique<sim::Resource>(owner, 1, "tree" + std::to_string(i)));
+        std::make_unique<sim::Resource>(sim, 1, "tree" + std::to_string(i)));
   }
   for (int i = 0; i < compute_count; ++i) {
-    sim::Simulator& owner = rank_sim ? rank_sim(i) : sim;
     ingest_.push_back(
-        std::make_unique<sim::Resource>(owner, 1, "cn" + std::to_string(i) + ".ingest"));
+        std::make_unique<sim::Resource>(sim, 1, "cn" + std::to_string(i) + ".ingest"));
   }
-  counters_.assign(static_cast<std::size_t>(pset_count), PsetCounters{});
 }
 
 void TreeNetwork::publish_metrics(obs::Registry& registry) const {
-  PsetCounters total;
-  for (const auto& c : counters_) {
-    total.inbound_messages += c.inbound_messages;
-    total.inbound_bytes += c.inbound_bytes;
-    total.outbound_messages += c.outbound_messages;
-    total.outbound_bytes += c.outbound_bytes;
-  }
-  registry.counter("tree.inbound_messages").set_total(total.inbound_messages);
-  registry.counter("tree.inbound_bytes").set_total(total.inbound_bytes);
-  registry.counter("tree.outbound_messages").set_total(total.outbound_messages);
-  registry.counter("tree.outbound_bytes").set_total(total.outbound_bytes);
+  registry.counter("tree.inbound_messages").set_total(counters_.inbound_messages);
+  registry.counter("tree.inbound_bytes").set_total(counters_.inbound_bytes);
+  registry.counter("tree.outbound_messages").set_total(counters_.outbound_messages);
+  registry.counter("tree.outbound_bytes").set_total(counters_.outbound_bytes);
   for (std::size_t p = 0; p < io_cpus_.size(); ++p) {
     if (io_cpus_[p]->busy_seconds() <= 0.0 && tree_links_[p]->busy_seconds() <= 0.0) {
       continue;
@@ -58,9 +47,8 @@ sim::Task<void> TreeNetwork::forward_inbound(int pset, int compute_rank,
                                              std::uint64_t bytes, double io_factor,
                                              double compute_factor) {
   SCSQ_CHECK(io_factor >= 1.0 && compute_factor >= 1.0) << "cost factors must be >= 1";
-  auto& shard = counters_[static_cast<std::size_t>(pset)];
-  shard.inbound_messages += 1;
-  shard.inbound_bytes += bytes;
+  counters_.inbound_messages += 1;
+  counters_.inbound_bytes += bytes;
   const double b = static_cast<double>(bytes);
   // CIOD copies the payload from its socket into the tree device.
   co_await io_cpu(pset).use(params_.io_per_message_overhead_s +
@@ -76,9 +64,8 @@ sim::Task<void> TreeNetwork::forward_inbound(int pset, int compute_rank,
 sim::Task<void> TreeNetwork::forward_outbound(int pset, int compute_rank,
                                               std::uint64_t bytes, double io_factor) {
   SCSQ_CHECK(io_factor >= 1.0) << "cost factors must be >= 1";
-  auto& shard = counters_[static_cast<std::size_t>(pset)];
-  shard.outbound_messages += 1;
-  shard.outbound_bytes += bytes;
+  counters_.outbound_messages += 1;
+  counters_.outbound_bytes += bytes;
   const double b = static_cast<double>(bytes);
   co_await compute_ingest(compute_rank)
       .use(params_.compute_per_message_overhead_s + b * params_.compute_recv_per_byte_s);

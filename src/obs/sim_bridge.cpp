@@ -1,7 +1,5 @@
 #include "obs/sim_bridge.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 
 namespace scsq::obs {
@@ -29,59 +27,6 @@ void bridge_sim_perf(Registry& registry, const sim::PerfCounters& perf) {
   registry.counter("sim.coro.bucket_reused").set_total(pool.bucket_reused);
   registry.counter("sim.coro.chunk_allocs").set_total(pool.chunk_allocs);
   registry.counter("sim.coro.oversize_allocs").set_total(pool.oversize_allocs);
-}
-
-void bridge_plp_stats(Registry& registry, const std::vector<sim::plp::LpStats>& per_lp) {
-  sim::plp::LpStats totals;
-  for (std::size_t i = 0; i < per_lp.size(); ++i) {
-    const auto& s = per_lp[i];
-    const Labels labels{{"lp", std::to_string(i)}};
-    registry.counter("sim.lp.events", labels).set_total(s.events);
-    registry.counter("sim.lp.windows", labels).set_total(s.windows);
-    registry.counter("sim.lp.stalls", labels).set_total(s.stalls);
-    registry.counter("sim.lp.null_updates", labels).set_total(s.null_updates);
-    registry.counter("sim.lp.msgs_sent", labels).set_total(s.msgs_sent);
-    registry.counter("sim.lp.msgs_recvd", labels).set_total(s.msgs_recvd);
-    registry.counter("sim.lp.mailbox_full", labels).set_total(s.mailbox_full);
-    totals.events += s.events;
-    totals.windows += s.windows;
-    totals.stalls += s.stalls;
-    totals.null_updates += s.null_updates;
-    totals.msgs_sent += s.msgs_sent;
-    totals.msgs_recvd += s.msgs_recvd;
-    totals.mailbox_full += s.mailbox_full;
-  }
-  registry.gauge("sim.lp.count").set(static_cast<double>(per_lp.size()));
-  registry.counter("sim.lp.total.events").set_total(totals.events);
-  registry.counter("sim.lp.total.windows").set_total(totals.windows);
-  registry.counter("sim.lp.total.stalls").set_total(totals.stalls);
-  registry.counter("sim.lp.total.null_updates").set_total(totals.null_updates);
-  registry.counter("sim.lp.total.msgs_sent").set_total(totals.msgs_sent);
-  registry.counter("sim.lp.total.msgs_recvd").set_total(totals.msgs_recvd);
-  registry.counter("sim.lp.total.mailbox_full").set_total(totals.mailbox_full);
-}
-
-void bridge_plp_live(Registry& registry, const std::vector<sim::plp::LpLiveSample>& live) {
-  double min_horizon = 0.0;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    min_horizon = i == 0 ? live[i].horizon_s : std::min(min_horizon, live[i].horizon_s);
-  }
-  for (const auto& s : live) {
-    const Labels labels{{"lp", std::to_string(s.lp)}};
-    registry.counter("sim.lp.live.events", labels).set_total(s.events);
-    registry.counter("sim.lp.live.null_updates", labels).set_total(s.null_updates);
-    registry.counter("sim.lp.live.msgs_sent", labels).set_total(s.msgs_sent);
-    registry.counter("sim.lp.live.msgs_recvd", labels).set_total(s.msgs_recvd);
-    registry.gauge("sim.lp.live.mailbox_depth", labels)
-        .set(static_cast<double>(s.inbox_depth));
-    const double traffic = static_cast<double>(s.null_updates + s.msgs_sent);
-    registry.gauge("sim.lp.live.null_ratio", labels)
-        .set(traffic > 0.0 ? static_cast<double>(s.null_updates) / traffic : 0.0);
-    registry.gauge("sim.lp.live.running_s", labels).set(s.running_s);
-    registry.gauge("sim.lp.live.blocked_s", labels).set(s.blocked_s);
-    registry.gauge("sim.lp.live.horizon_s", labels).set(s.horizon_s);
-    registry.gauge("sim.lp.live.clock_lag_s", labels).set(s.horizon_s - min_horizon);
-  }
 }
 
 }  // namespace scsq::obs

@@ -9,9 +9,6 @@
 // cumulative totals, so bridging twice does not double-count.
 #pragma once
 
-#include <vector>
-
-#include "sim/plp.hpp"
 #include "sim/simulator.hpp"
 
 namespace scsq::obs {
@@ -20,24 +17,5 @@ class Registry;
 
 /// Publishes `perf` into `registry` under sim.* metric names.
 void bridge_sim_perf(Registry& registry, const sim::PerfCounters& perf);
-
-/// Publishes the conservative parallel runtime's per-LP counters into
-/// `registry` as sim.lp.* metrics, one series per LP (label lp="<id>")
-/// plus unlabeled totals. Horizon-stall and null-message counters land
-/// here, next to the kernel and engine series. Idempotent like
-/// bridge_sim_perf: totals are set, not added.
-void bridge_plp_stats(Registry& registry, const std::vector<sim::plp::LpStats>& per_lp);
-
-/// Publishes a live snapshot (Runtime::live_sample()) into `registry`
-/// as sim.lp.live.* metrics: per-LP counters for events / null updates /
-/// messages (set_total — the live mirrors are monotone, so windowed
-/// rates fall out of the telemetry sampler), plus gauges for mailbox
-/// depth, null-message ratio (null_updates / (null_updates+msgs_sent)),
-/// wall running/blocked seconds, the LP frontier, and clock_lag_s —
-/// each LP's frontier minus the global minimum frontier, the
-/// "who is holding everyone back" view of the conservative protocol.
-/// Safe to call from a monitor thread while the runtime is in flight
-/// (the snapshot is plain data; the registry must be monitor-owned).
-void bridge_plp_live(Registry& registry, const std::vector<sim::plp::LpLiveSample>& live);
 
 }  // namespace scsq::obs

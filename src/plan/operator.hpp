@@ -45,7 +45,7 @@ struct PlanContext {
   std::size_t batch_size = 1;
 
   /// Introspection feed for monitor queries over system.metrics /
-  /// system.gauges / system.rates / system.lp. Non-null only inside a
+  /// system.gauges / system.rates. Non-null only inside a
   /// monitor plan context (Engine::register_monitor); the system.*
   /// sources refuse to build without it.
   const IntrospectFeed* introspect = nullptr;

@@ -144,10 +144,9 @@ class Resource {
   /// between), so claim order equals grant order. The returned time is
   /// bitwise-identical to the clock after the matching use(): a FIFO
   /// grant resumes at its predecessor's release time, so completion is
-  /// max(now, previous completion) + hold in both computations. The
-  /// parallel LP runtime uses this to announce a cross-LP delivery a full
-  /// hold-time ahead of the delivery event — the lookahead that keeps
-  /// conservative windows safe.
+  /// max(now, previous completion) + hold in both computations. The TCP
+  /// links use this to schedule a frame's delivery at the moment their
+  /// source NIC finishes sending it (transport/driver.hpp).
   Time claim(Time hold) {
     SCSQ_CHECK(capacity_ == 1) << "claim() needs FIFO capacity 1: " << name_;
     Time start = claim_until_ > sim_->now() ? claim_until_ : sim_->now();

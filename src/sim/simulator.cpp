@@ -23,7 +23,6 @@ Simulator::~Simulator() {
 }
 
 void Simulator::reset() {
-  SCSQ_CHECK(seq_ == &next_seq_) << "reset while the seq counter is shared";
   for (auto h : roots_) {
     if (h) h.destroy();
   }
@@ -41,7 +40,7 @@ void Simulator::reset() {
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
   now_ = 0.0;
-  next_seq_ = 0;
+  seq_ = 0;
 }
 
 void Simulator::spawn(Task<void> task) {
@@ -95,8 +94,7 @@ void Simulator::run_callback(std::uintptr_t payload) {
   if (fn) fn();
 }
 
-template <bool Strict>
-Time Simulator::run_loop(Time limit) {
+Time Simulator::run(Time limit) {
   for (;;) {
     const std::size_t fifo_live = fifo_.size() - fifo_head_;
     const std::size_t timed_size = timed_.size();
@@ -109,7 +107,7 @@ Time Simulator::run_loop(Time limit) {
       // first only when it was scheduled earlier (smaller seq) —
       // preserving the global FIFO order within a timestamp that the old
       // single priority_queue provided.
-      if (Strict ? now_ >= limit : now_ > limit) break;
+      if (now_ > limit) break;
       if (timed_size != 0 && timed_.front().at == now_ &&
           timed_.front().seq < fifo_[fifo_head_].seq) {
         payload = timed_.front().payload;
@@ -124,7 +122,7 @@ Time Simulator::run_loop(Time limit) {
       if (consume_cancelled(payload)) continue;
     } else if (timed_size != 0) {
       const Time at = timed_.front().at;
-      if (Strict ? at >= limit : at > limit) break;
+      if (at > limit) break;
       payload = timed_.front().payload;
       timed_.pop_front();
       // Cancelled timers vanish here, *before* the clock advances: a
@@ -148,53 +146,6 @@ Time Simulator::run_loop(Time limit) {
   sweep_finished_roots();
   return now_;
 }
-
-bool Simulator::run_one() {
-  // One iteration of run_loop's body, without the limit checks — the
-  // multiplexer already established that this shard holds the global
-  // front. The bookkeeping (peak-depth sample, cancelled-node
-  // consumption, clock advance on the timed path, periodic root sweep)
-  // mirrors run_loop exactly so a multiplexed drive is event-for-event
-  // identical to a single-Simulator run.
-  const std::size_t fifo_live = fifo_.size() - fifo_head_;
-  const std::uint64_t depth = timed_.size() + fifo_live;
-  if (depth > perf_.peak_queue_depth) perf_.peak_queue_depth = depth;
-  std::uintptr_t payload;
-  if (fifo_live != 0) {
-    if (!timed_.empty() && timed_.front().at == now_ &&
-        timed_.front().seq < fifo_[fifo_head_].seq) {
-      payload = timed_.front().payload;
-      timed_.pop_front();
-    } else {
-      payload = fifo_[fifo_head_].payload;
-      if (++fifo_head_ == fifo_.size()) {
-        fifo_.clear();
-        fifo_head_ = 0;
-      }
-    }
-    if (consume_cancelled(payload)) return false;
-  } else if (!timed_.empty()) {
-    const Time at = timed_.front().at;
-    payload = timed_.front().payload;
-    timed_.pop_front();
-    if (consume_cancelled(payload)) return false;
-    now_ = at;
-  } else {
-    return false;
-  }
-  ++perf_.events_dispatched;
-  if (payload & 1u) {
-    run_callback(payload);
-  } else {
-    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(payload)).resume();
-  }
-  if ((perf_.events_dispatched & 0x3FF) == 0) sweep_finished_roots();
-  return true;
-}
-
-Time Simulator::run(Time until) { return run_loop<false>(until); }
-
-Time Simulator::run_before(Time horizon) { return run_loop<true>(horizon); }
 
 std::size_t Simulator::live_root_tasks() const {
   std::size_t live = 0;

@@ -80,7 +80,7 @@ class Simulator {
   /// slab). Re-running a workload on a reset Simulator allocates nothing
   /// in steady state. PerfCounters are cumulative across resets.
   /// Outstanding TimerIds are invalidated (their slots' generations
-  /// advance). Illegal while the seq counter is shared.
+  /// advance).
   void reset();
 
   /// Starts a root process. The task begins executing at the current time
@@ -160,118 +160,14 @@ class Simulator {
   /// Returns the final simulated time.
   Time run(Time until = kNoLimit);
 
-  /// Runs every event with timestamp strictly below `horizon` and stops
-  /// without dispatching anything at or beyond it. This is the window
-  /// primitive of the conservative parallel runtime (sim/plp.hpp): a
-  /// logical process may only execute events strictly earlier than the
-  /// minimum of its input channel clocks, because a neighbor is still
-  /// allowed to deliver an event *at* that clock value and same-time
-  /// events must be merged under the deterministic tie-break. Returns
-  /// the final simulated time (now() stays at the last dispatched event;
-  /// it does not jump to `horizon`).
-  Time run_before(Time horizon);
-
   /// Timestamp of the next pending event: now() when same-time FIFO
   /// events are queued, the timed front's timestamp otherwise, kNoLimit
-  /// when the queue is empty. Conservative LPs use this to compute the
-  /// null-message promise (earliest possible next send) for neighbors.
+  /// when the queue is empty (cancelled timer nodes count as pending).
   Time next_event_time() const {
     if (fifo_.size() != fifo_head_) return now_;
     if (!timed_.empty()) return timed_.front().at;
     return kNoLimit;
   }
-
-  // --- Globally-sequenced multiplexing (LpDomain::run_sequenced) ---
-  //
-  // Several Simulators can be driven as shards of one logical event
-  // queue: share one seq counter across them, then repeatedly dispatch
-  // the shard whose front event has the globally minimal (time, seq).
-  // With identical code executing in identical order, the dispatch
-  // sequence is bit-for-bit the one a single Simulator holding the union
-  // of events would produce — which shard an event lands in is invisible.
-  // Strictly single-threaded.
-
-  /// (timestamp, seq) of the event run_one() would dispatch next — the
-  /// same front run_loop would pick (a timed event beats the FIFO at an
-  /// equal timestamp only with a smaller seq). False when the queue is
-  /// empty. Cancelled timer nodes are reported like live events;
-  /// run_one() consumes them silently.
-  bool next_event_key(Time* at, std::uint64_t* seq) const {
-    const bool fifo_live = fifo_.size() != fifo_head_;
-    if (fifo_live && !timed_.empty() && timed_.front().at == now_ &&
-        timed_.front().seq < fifo_[fifo_head_].seq) {
-      *at = timed_.front().at;
-      *seq = timed_.front().seq;
-      return true;
-    }
-    if (fifo_live) {
-      *at = fifo_[fifo_head_].at;
-      *seq = fifo_[fifo_head_].seq;
-      return true;
-    }
-    if (!timed_.empty()) {
-      *at = timed_.front().at;
-      *seq = timed_.front().seq;
-      return true;
-    }
-    return false;
-  }
-
-  /// Dispatches exactly the front event (the one next_event_key names)
-  /// with run_loop's bookkeeping. Returns false when the front was a
-  /// cancelled timer node (consumed, clock untouched) or the queue was
-  /// empty — the caller re-picks the global minimum either way.
-  bool run_one();
-
-  /// True when the front event is a cancelled timer node. The
-  /// multiplexer uses this to pop such nodes (run_one) *without* first
-  /// advancing any shard clock — mirroring run_loop, where a cancelled
-  /// node parked past the last real event never drags now() forward.
-  bool front_cancelled() const {
-    const bool fifo_live = fifo_.size() != fifo_head_;
-    std::uintptr_t payload;
-    if (fifo_live && !timed_.empty() && timed_.front().at == now_ &&
-        timed_.front().seq < fifo_[fifo_head_].seq) {
-      payload = timed_.front().payload;
-    } else if (fifo_live) {
-      payload = fifo_[fifo_head_].payload;
-    } else if (!timed_.empty()) {
-      payload = timed_.front().payload;
-    } else {
-      return false;
-    }
-    return (payload & 1u) && !callbacks_[static_cast<std::uint32_t>(payload >> 1)];
-  }
-
-  /// Advances now() without dispatching — the multiplexer's clock
-  /// lockstep, so code reading a *different* shard's now() mid-event sees
-  /// the global time, exactly as it would on a single Simulator. Only
-  /// legal up to the global front timestamp: a pending FIFO event (always
-  /// stamped at now()) would be the front, so the FIFO must be empty
-  /// whenever the clock actually moves.
-  void advance_now(Time t) {
-    SCSQ_CHECK(t >= now_) << "clock moving backwards: " << t << " < " << now_;
-    if (t == now_) return;
-    SCSQ_CHECK(fifo_.size() == fifo_head_) << "advancing past pending same-time events";
-    now_ = t;
-  }
-
-  /// Draws future event seqs from `shared` (>= the current private
-  /// counter) instead of the private counter. unshare_seq_counter()
-  /// reverts, continuing from the shared value so per-Simulator seqs stay
-  /// monotonic across mode switches.
-  void share_seq_counter(std::uint64_t* shared) {
-    SCSQ_CHECK(*shared >= next_seq_) << "shared seq counter behind this simulator";
-    seq_ = shared;
-  }
-  void unshare_seq_counter() {
-    if (seq_ == &next_seq_) return;
-    next_seq_ = *seq_;
-    seq_ = &next_seq_;
-  }
-
-  /// Current seq-counter value (for seeding a shared counter).
-  std::uint64_t seq_value() const { return *seq_; }
 
   /// Number of root tasks spawned that have not yet completed. After
   /// run() returns with an empty queue, a nonzero value means deadlock
@@ -308,20 +204,15 @@ class Simulator {
   // already has both container sizes in registers.
   void push_fifo(std::uintptr_t payload) {
     ++perf_.fifo_pushes;
-    fifo_.push_back(QueuedEvent{now_, (*seq_)++, payload});
+    fifo_.push_back(QueuedEvent{now_, seq_++, payload});
   }
 
   // `heap_pushes` keeps its historical name: it counts pushes into the
   // timed pending-event set, whichever structure backs it.
   void push_timed(Time at, std::uintptr_t payload) {
     ++perf_.heap_pushes;
-    timed_.push(QueuedEvent{at, (*seq_)++, payload});
+    timed_.push(QueuedEvent{at, seq_++, payload});
   }
-
-  // Shared dispatch loop: Strict=false stops once the next event is past
-  // `limit` (run), Strict=true stops at or past it (run_before).
-  template <bool Strict>
-  Time run_loop(Time limit);
 
   void run_callback(std::uintptr_t payload);
   void sweep_finished_roots();
@@ -339,8 +230,7 @@ class Simulator {
   }
 
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t* seq_ = &next_seq_;  // shared across shards while multiplexed
+  std::uint64_t seq_ = 0;            // FIFO tie-break within a timestamp
   PerfCounters perf_;                // must precede timed_ (it points in)
   EventQueue timed_;                 // pending-event set for at > now()
   std::vector<QueuedEvent> fifo_;  // events at now_, drained by fifo_head_

@@ -48,9 +48,9 @@ namespace detail {
 // the global heap.
 //
 // Chunk ownership is process-global, not per-thread: a frame allocated
-// by one LP worker can be freed on another when a logical process
-// migrates between windows, so a block may outlive the thread whose
-// list first carved it. Chunks are therefore registered in a global
+// on one thread can be freed on another (a simulation built on one
+// thread and destroyed on a different one), so a block may outlive the
+// thread whose list first carved it. Chunks are therefore registered in a global
 // registry (always reachable — leak checkers stay quiet) and released
 // only at process exit.
 inline constexpr std::size_t kCoroBucketShift = 6;  // 64-byte classes

@@ -105,10 +105,36 @@ struct LinkStats {
 /// / the TCP window): when the consumer stops draining, the pipeline
 /// stalls all the way back to the producer instead of queueing unbounded
 /// frames inside the network resources.
+///
+/// A link carries a frame one of two ways. Sequential links (MPI, local)
+/// implement transmit_one(): one coroutine per frame runs every hold up
+/// to the inbox delivery and then frees the window slot. Pipelined links
+/// (every TCP link) implement src_transmit() and dst_receive(): the
+/// source half claims the completion time of the source NIC and
+/// schedules the destination half at that time, and the window slot
+/// frees one credit latency after delivery (the flow-control round trip).
 class Link {
  public:
+  /// Parameters of a pipelined link. The two skews shift the delivery
+  /// and credit callbacks off ties with other links' callbacks
+  /// (hw::Machine::next_tie_skew).
+  struct Pipeline {
+    double credit_latency_s = 0.0;
+    double credit_skew_s = 0.0;
+    double delivery_skew_s = 0.0;
+  };
+
+  /// A sequential link.
   explicit Link(sim::Simulator& sim, int window = kDefaultWindow)
       : sim_(&sim), drained_(sim), window_(sim, window, "linkwin") {}
+
+  /// A pipelined link.
+  Link(sim::Simulator& sim, const Pipeline& pipeline) : Link(sim) {
+    SCSQ_CHECK(pipeline.credit_latency_s > 0.0)
+        << "pipelined link needs a positive credit latency";
+    pipeline_ = pipeline;
+    pipelined_ = true;
+  }
 
   static constexpr int kDefaultWindow = 4;
   virtual ~Link() = default;
@@ -120,35 +146,6 @@ class Link {
   /// releases it when the send buffer becomes reusable. Frames are
   /// delivered to the consumer inbox in start order.
   void start_transmit(Frame frame, sim::Resource& send_slots);
-
-  /// Schedules a callback onto a (possibly remote) LP Simulator at an
-  /// absolute simulated time (hw::Machine::make_poster).
-  using Poster = std::function<void(double, std::function<void()>)>;
-
-  /// Splits this link's transmit pipeline across two LP Simulators for
-  /// the parallel engine drive. The source half keeps running on the
-  /// constructing Simulator (window admission and source-side resource
-  /// holds); it *claims* the completion time of its final source
-  /// resource and posts the destination half onto `dst_sim` via
-  /// `post_dst` a full resource-hold ahead of that time — the lookahead
-  /// that keeps conservative LP windows safe. The destination half
-  /// performs the receive-side holds and the inbox delivery, then posts
-  /// the flow-control credit back via `post_src` after
-  /// `credit_latency_s` (releasing the window and, at EOS, the drained
-  /// event — both source-owned). With `deferred_metrics` (LP count > 1)
-  /// the shared registry is never touched during the drive; the engine
-  /// calls publish_deferred() once the domain is quiescent. stats()
-  /// totals stay exact throughout — they are destination-LP-owned.
-  void enable_split(sim::Simulator& dst_sim, Poster post_dst, Poster post_src,
-                    double credit_latency_s, bool deferred_metrics);
-
-  /// True once enable_split() has been called.
-  bool split() const { return dst_sim_ != nullptr; }
-
-  /// Applies registry updates withheld during a parallel drive (counter
-  /// increments and buffered latency samples). Idempotent: a cursor
-  /// remembers what was already published. Safe only at quiescence.
-  void publish_deferred() const;
 
   /// Set once the EOS frame has been delivered (safe to tear down).
   sim::Event& drained() { return drained_; }
@@ -177,32 +174,30 @@ class Link {
   }
 
  protected:
-  /// Carries one frame to the inbox, releasing a `send_slots` slot as
-  /// soon as the send buffer is reusable.
-  virtual sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) = 0;
+  /// Sequential links: carries one frame to the inbox, releasing a
+  /// `send_slots` slot as soon as the send buffer is reusable. The
+  /// default aborts (pipelined links never call it).
+  virtual sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots);
 
-  /// Split mode, source half: source-side resource holds only.
+  /// Pipelined links, source half: source-side resource holds only.
   /// Implementations claim() their final capacity-1 source resource,
   /// call announce_delivery() with the claimed completion time *before
-  /// suspending* (the claim and the announce must share one event — that
-  /// is what makes the announced time at least one lookahead ahead of
-  /// every LP's clock), then co_await the actual holds. Links that never
-  /// split (MPI, local) keep the default, which aborts.
+  /// suspending* (the claim and its use() must share one event, so claim
+  /// order is grant order), then co_await the actual holds. The default
+  /// aborts (sequential links never call it).
   virtual sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
                                        double window_wait, bool stalled);
 
-  /// Split mode, destination half: receive-side resource holds plus the
-  /// inbox delivery. Runs on the destination LP.
+  /// Pipelined links, destination half: receive-side resource holds
+  /// plus the inbox delivery.
   virtual sim::Task<void> dst_receive(Frame frame);
 
-  /// Posts the destination half of a split transmit onto the destination
-  /// LP at absolute time `at` (the claimed source completion time).
+  /// Schedules the destination half of a pipelined transmit at absolute
+  /// time `at` (the claimed source completion time).
   void announce_delivery(double at, Frame frame, double t0, double window_wait,
                          bool stalled);
 
-  /// Called after the EOS frame is delivered; close flows etc. In split
-  /// mode this runs on the destination LP — implementations may only
-  /// touch mutex-guarded or destination-owned state there.
+  /// Called after the EOS frame is delivered; close flows etc.
   virtual void stream_ended() {}
 
   /// Bytes a payload occupies on the wire. The default is the payload
@@ -217,12 +212,11 @@ class Link {
 
  private:
   sim::Task<void> run(Frame frame, sim::Resource& send_slots);
-  /// Split-mode source half: window admission on the source LP, then
-  /// src_transmit (which announces the destination half).
-  sim::Task<void> run_split(Frame frame, sim::Resource& send_slots);
-  /// Split-mode destination half: dst_receive, then accounting (batch_,
-  /// stats_ and the latency samples are destination-LP-owned in split
-  /// mode) and the window credit back to the source LP.
+  /// Pipelined source half: window admission, then src_transmit (which
+  /// announces the destination half).
+  sim::Task<void> run_pipelined(Frame frame, sim::Resource& send_slots);
+  /// Pipelined destination half: dst_receive, then accounting and the
+  /// window credit.
   sim::Task<void> dst_run(Frame frame, double t0, double window_wait, bool stalled);
 
   /// Scalar stats accumulated across a burst of in-flight frames and
@@ -249,23 +243,8 @@ class Link {
   sim::Trace* flow_trace_ = nullptr;
   std::string flow_from_;
   std::string flow_to_;
-  // --- split-mode state (enable_split) ---
-  sim::Simulator* dst_sim_ = nullptr;
-  Poster post_dst_;
-  Poster post_src_;
-  double credit_latency_s_ = 0.0;
-  bool deferred_ = false;
-  /// What publish_deferred() has already pushed into the registry.
-  struct PublishedCursor {
-    std::uint64_t frames = 0;
-    std::uint64_t payload_bytes = 0;
-    std::uint64_t stalls = 0;
-    double window_wait_s = 0.0;
-  };
-  mutable PublishedCursor published_;
-  /// Latency samples awaiting publish_deferred() (deferred mode only —
-  /// stats_.latency always observes every sample immediately).
-  mutable std::vector<double> deferred_latency_;
+  bool pipelined_ = false;
+  Pipeline pipeline_;
 };
 
 class SenderDriver {

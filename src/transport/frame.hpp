@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -45,20 +44,10 @@ struct Frame {
 /// moved out. Frames that never come back (e.g. dropped on a closed
 /// channel at teardown) are simply destroyed — the pool does not track
 /// outstanding frames.
-///
-/// Sharded (multi-LP) operation: each LP owns one pool and only that
-/// LP's thread ever calls acquire() on it, but a frame sent across LPs
-/// is recycled by its *consumer's* thread into the producer's pool. In
-/// shared mode (set_shared) recycle() therefore lands in a mutex-guarded
-/// return mailbox instead of the free list; the owning thread drains the
-/// mailbox into the free list at its next acquire() miss. acquired_ and
-/// reused_ stay owner-thread-only; recycled_ moves under the mailbox
-/// mutex so `Σ shard counters` stays exact.
 class FramePool {
  public:
   Frame acquire() {
     ++acquired_;
-    if (free_.empty() && shared_) drain_returns();
     if (free_.empty()) {
       Frame f;
       f.pool = this;
@@ -77,21 +66,9 @@ class FramePool {
     f.producer = 0;
     f.seq = 0;
     f.pool = this;
-    if (shared_) {
-      std::lock_guard<std::mutex> lock(returns_mu_);
-      ++recycled_;
-      returns_.push_back(std::move(f));
-      return;
-    }
     ++recycled_;
     free_.push_back(std::move(f));
   }
-
-  /// Arms the cross-thread return mailbox (multi-LP machines). Call
-  /// before any concurrent use; single-threaded pools skip the lock
-  /// entirely.
-  void set_shared(bool shared) { shared_ = shared; }
-  bool shared() const { return shared_; }
 
   /// Total acquire() calls; `reused()` of them were served from the
   /// free list. acquired() - reused() = frames ever default-constructed
@@ -99,31 +76,14 @@ class FramePool {
   /// obs registry exposes as transport.frame_pool.*).
   std::uint64_t acquired() const { return acquired_; }
   std::uint64_t reused() const { return reused_; }
-  std::uint64_t recycled() const {
-    if (!shared_) return recycled_;
-    std::lock_guard<std::mutex> lock(returns_mu_);
-    return recycled_;
-  }
-  std::uint64_t free_frames() const {
-    if (!shared_) return free_.size();
-    std::lock_guard<std::mutex> lock(returns_mu_);
-    return free_.size() + returns_.size();
-  }
+  std::uint64_t recycled() const { return recycled_; }
+  std::uint64_t free_frames() const { return free_.size(); }
 
  private:
-  void drain_returns() {
-    std::lock_guard<std::mutex> lock(returns_mu_);
-    for (auto& f : returns_) free_.push_back(std::move(f));
-    returns_.clear();
-  }
-
   std::vector<Frame> free_;
   std::uint64_t acquired_ = 0;
   std::uint64_t reused_ = 0;
   std::uint64_t recycled_ = 0;
-  bool shared_ = false;
-  mutable std::mutex returns_mu_;
-  std::vector<Frame> returns_;  // cross-thread recycle mailbox
 };
 
 class FrameCutter {

@@ -2,13 +2,29 @@
 
 namespace scsq::transport {
 
+namespace {
+
+// A new TCP link's pipeline. The two tie-break skews are drawn in two
+// statements, credit first: the draw order is part of the simulated
+// timeline (hw::Machine::next_tie_skew), and the arguments of one call
+// would be evaluated in an unspecified order.
+Link::Pipeline tcp_pipeline(hw::Machine& machine) {
+  Link::Pipeline p;
+  p.credit_latency_s = machine.fabric().params().min_link_latency();
+  p.credit_skew_s = machine.next_tie_skew();
+  p.delivery_skew_s = machine.next_tie_skew();
+  return p;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------
 // MpiLink
 // ---------------------------------------------------------------------
 
 MpiLink::MpiLink(hw::Machine& machine, int src_rank, int dst_rank,
                  sim::Channel<Frame>& inbox, std::uint64_t source_tag)
-    : Link(machine.sim_of(hw::Location{hw::kBlueGene, src_rank})),
+    : Link(machine.sim()),
       machine_(&machine),
       dst_(dst_rank),
       path_(machine.bg().torus().compile_path(src_rank, dst_rank)),
@@ -50,7 +66,7 @@ sim::Task<void> MpiLink::transmit_one(Frame frame, sim::Resource& send_slots) {
 
 TcpToBgLink::TcpToBgLink(hw::Machine& machine, const hw::Location& src, int dst_rank,
                          sim::Channel<Frame>& inbox)
-    : Link(machine.sim_of(src)),
+    : Link(machine.sim(), tcp_pipeline(machine)),
       machine_(&machine),
       dst_rank_(dst_rank),
       pset_(machine.bg().pset_of(dst_rank)),
@@ -73,32 +89,14 @@ void TcpToBgLink::close_flow() {
   machine_->unregister_bg_inbound(dst_rank_);
 }
 
-sim::Task<void> TcpToBgLink::transmit_one(Frame frame, sim::Resource& send_slots) {
-  co_await machine_->fabric().transfer(flow_, frame.bytes);
-  send_slots.release();
-  // Coordination factors: on a classic (single-Simulator) machine these
-  // are recomputed per message, walking the live flow table under its
-  // mutex so concurrently opening/closing streams are reflected (Fig. 15
-  // mechanisms). On an LpDomain machine the engine freezes them to their
-  // post-wiring values before the drive (hw::Machine::
-  // freeze_fabric_factors) — a per-run snapshot read lock-free from any
-  // LP, which also drops the two mutexed flow-table walks from the
-  // per-frame hot path (see DESIGN.md §5.9).
-  co_await machine_->bg().tree().forward_inbound(pset_, dst_rank_, frame.bytes,
-                                                 machine_->io_coordination_factor(),
-                                                 machine_->compute_mux_factor(dst_rank_));
-  co_await inbox_->send(std::move(frame));
-}
-
 sim::Task<void> TcpToBgLink::src_transmit(Frame frame, sim::Resource& send_slots,
                                           double t0, double window_wait, bool stalled) {
   auto& fabric = machine_->fabric();
   const double wire = fabric.wire_time(frame.bytes);
   const double tx_time = fabric.params().per_message_overhead_s +
-                         wire * machine_->sender_imbalance_factor(src_host_);
+                         wire * fabric.sender_imbalance_factor(src_host_);
   // Claim + announce + use share this event: the claimed completion time
-  // is bitwise-identical to the clock after use(), and it is at least
-  // one per-message overhead (= the domain lookahead) in the future.
+  // is bitwise-identical to the clock after use().
   auto& tx = fabric.tx_nic(src_host_);
   const double t1 = tx.claim(tx_time);
   announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
@@ -109,6 +107,9 @@ sim::Task<void> TcpToBgLink::src_transmit(Frame frame, sim::Resource& send_slots
 sim::Task<void> TcpToBgLink::dst_receive(Frame frame) {
   co_await machine_->fabric().rx_nic(io_host_).use(
       machine_->fabric().wire_time(frame.bytes));
+  // The coordination factors are read per message, from the live flow
+  // table, so streams opening and closing during a run are reflected
+  // (the Fig. 15 mechanisms).
   co_await machine_->bg().tree().forward_inbound(pset_, dst_rank_, frame.bytes,
                                                  machine_->io_coordination_factor(),
                                                  machine_->compute_mux_factor(dst_rank_));
@@ -121,7 +122,7 @@ sim::Task<void> TcpToBgLink::dst_receive(Frame frame) {
 
 TcpFromBgLink::TcpFromBgLink(hw::Machine& machine, int src_rank, const hw::Location& dst,
                              sim::Channel<Frame>& inbox)
-    : Link(machine.sim_of(hw::Location{hw::kBlueGene, src_rank})),
+    : Link(machine.sim(), tcp_pipeline(machine)),
       machine_(&machine),
       src_rank_(src_rank),
       pset_(machine.bg().pset_of(src_rank)),
@@ -142,27 +143,18 @@ void TcpFromBgLink::close_flow() {
   machine_->fabric().close_flow(flow_);
 }
 
-sim::Task<void> TcpFromBgLink::transmit_one(Frame frame, sim::Resource& send_slots) {
-  co_await machine_->bg().tree().forward_outbound(pset_, src_rank_, frame.bytes,
-                                                  /*io_factor=*/1.0);
-  send_slots.release();
-  co_await machine_->fabric().transfer(flow_, frame.bytes);
-  co_await inbox_->send(std::move(frame));
-}
-
 sim::Task<void> TcpFromBgLink::src_transmit(Frame frame, sim::Resource& send_slots,
                                             double t0, double window_wait, bool stalled) {
-  // The whole outbound tree path (compute egress, tree link, I/O CPU)
-  // and the I/O node's GigE NIC all belong to the source pset's LP, so
-  // the split boundary sits between the I/O node's transmit and the
-  // destination host's receive.
+  // The source half is the whole outbound tree path (compute egress,
+  // tree link, I/O CPU) and the I/O node's NIC transmit; the destination
+  // half is the destination host's NIC receive.
   co_await machine_->bg().tree().forward_outbound(pset_, src_rank_, frame.bytes,
                                                   /*io_factor=*/1.0);
   send_slots.release();
   auto& fabric = machine_->fabric();
   const double wire = fabric.wire_time(frame.bytes);
   const double tx_time = fabric.params().per_message_overhead_s +
-                         wire * machine_->sender_imbalance_factor(io_host_);
+                         wire * fabric.sender_imbalance_factor(io_host_);
   auto& tx = fabric.tx_nic(io_host_);
   const double t1 = tx.claim(tx_time);
   announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
@@ -181,7 +173,7 @@ sim::Task<void> TcpFromBgLink::dst_receive(Frame frame) {
 
 TcpPlainLink::TcpPlainLink(hw::Machine& machine, const hw::Location& src,
                            const hw::Location& dst, sim::Channel<Frame>& inbox)
-    : Link(machine.sim_of(src)),
+    : Link(machine.sim(), tcp_pipeline(machine)),
       machine_(&machine),
       src_host_(machine.fabric_host_of(src)),
       dst_host_(machine.fabric_host_of(dst)),
@@ -200,18 +192,12 @@ void TcpPlainLink::close_flow() {
   machine_->fabric().close_flow(flow_);
 }
 
-sim::Task<void> TcpPlainLink::transmit_one(Frame frame, sim::Resource& send_slots) {
-  co_await machine_->fabric().transfer(flow_, frame.bytes);
-  send_slots.release();
-  co_await inbox_->send(std::move(frame));
-}
-
 sim::Task<void> TcpPlainLink::src_transmit(Frame frame, sim::Resource& send_slots,
                                            double t0, double window_wait, bool stalled) {
   auto& fabric = machine_->fabric();
   const double wire = fabric.wire_time(frame.bytes);
   const double tx_time = fabric.params().per_message_overhead_s +
-                         wire * machine_->sender_imbalance_factor(src_host_);
+                         wire * fabric.sender_imbalance_factor(src_host_);
   auto& tx = fabric.tx_nic(src_host_);
   const double t1 = tx.claim(tx_time);
   announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
@@ -235,9 +221,8 @@ namespace {
 constexpr double kLocalHandoffSeconds = 2.0e-6;
 }  // namespace
 
-LocalLink::LocalLink(hw::Machine& machine, const hw::Location& loc,
-                     sim::Channel<Frame>& inbox)
-    : Link(machine.sim_of(loc)), inbox_(&inbox) {}
+LocalLink::LocalLink(hw::Machine& machine, sim::Channel<Frame>& inbox)
+    : Link(machine.sim()), inbox_(&inbox) {}
 
 sim::Task<void> LocalLink::transmit_one(Frame frame, sim::Resource& send_slots) {
   co_await sim().delay(kLocalHandoffSeconds);
@@ -279,9 +264,8 @@ std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
   const bool dst_bg = dst.cluster == hw::kBlueGene;
   std::unique_ptr<Link> link;
   const char* type = nullptr;
-  bool tcp_split = false;
   if (src == dst) {
-    link = std::make_unique<LocalLink>(machine, src, inbox);
+    link = std::make_unique<LocalLink>(machine, inbox);
     type = "local";
   } else if (src_bg && dst_bg) {
     link = std::make_unique<MpiLink>(machine, src.node, dst.node, inbox, source_tag);
@@ -289,25 +273,12 @@ std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
   } else if (!src_bg && dst_bg) {
     link = std::make_unique<TcpToBgLink>(machine, src, dst.node, inbox);
     type = "tcp_to_bg";
-    tcp_split = true;
   } else if (src_bg && !dst_bg) {
     link = std::make_unique<TcpFromBgLink>(machine, src.node, dst, inbox);
     type = "tcp_from_bg";
-    tcp_split = true;
   } else {
     link = std::make_unique<TcpPlainLink>(machine, src, dst, inbox);
     type = "tcp";
-    tcp_split = true;
-  }
-  if (tcp_split && machine.domain() != nullptr) {
-    // Split at *every* LP count (including 1): the pipeline shape — and
-    // with it every simulated timestamp — must not depend on
-    // SCSQ_SIM_LPS. The credit latency models the flow-control
-    // round-trip and doubles as the reverse-direction lookahead.
-    link->enable_split(machine.sim_of(dst), machine.make_poster(src, dst),
-                       machine.make_poster(dst, src),
-                       machine.fabric().params().min_link_latency(),
-                       /*deferred_metrics=*/machine.parallel_drive());
   }
   attach_metrics(*link, machine, type, src, dst);
   link->set_type(type);

@@ -53,7 +53,6 @@ class TcpToBgLink final : public Link {
   ~TcpToBgLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
   sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
                                double window_wait, bool stalled) override;
   sim::Task<void> dst_receive(Frame frame) override;
@@ -79,7 +78,6 @@ class TcpFromBgLink final : public Link {
   ~TcpFromBgLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
   sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
                                double window_wait, bool stalled) override;
   sim::Task<void> dst_receive(Frame frame) override;
@@ -105,7 +103,6 @@ class TcpPlainLink final : public Link {
   ~TcpPlainLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
   sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
                                double window_wait, bool stalled) override;
   sim::Task<void> dst_receive(Frame frame) override;
@@ -124,7 +121,7 @@ class TcpPlainLink final : public Link {
 
 class LocalLink final : public Link {
  public:
-  LocalLink(hw::Machine& machine, const hw::Location& loc, sim::Channel<Frame>& inbox);
+  LocalLink(hw::Machine& machine, sim::Channel<Frame>& inbox);
 
  protected:
   sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
@@ -134,13 +131,8 @@ class LocalLink final : public Link {
 };
 
 /// Builds the appropriate link between two RP locations. `source_tag`
-/// must uniquely identify the producing RP. Every link lives on the LP
-/// Simulator owning its *source* location. On a machine with an LpDomain
-/// the TCP links additionally run in split mode (Link::enable_split) at
-/// every LP count — the same pipeline shape at SCSQ_SIM_LPS=1 and 8 is
-/// what keeps the simulated timeline LP-count-invariant. MPI and local
-/// links never cross LPs (the engine rejects cross-pset MPI streams on a
-/// parallel drive) and keep the sequential path.
+/// must uniquely identify the producing RP. MPI and local links are
+/// sequential; every TCP link is pipelined (see Link).
 std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
                                 const hw::Location& dst, sim::Channel<Frame>& inbox,
                                 std::uint64_t source_tag);

@@ -11,7 +11,9 @@ using catalog::Object;
 namespace {
 
 // The wire format is little-endian; on LE hosts every word is a raw
-// memcpy, on BE hosts the bytes are swizzled through a shift loop.
+// memcpy, on BE hosts the bytes are swizzled through a shift loop. Bulk
+// array copies skip empty arrays: an empty vector's data() may be null,
+// and memcpy from or to a null pointer is undefined even for 0 bytes.
 constexpr bool kLittle = std::endian::native == std::endian::little;
 
 inline void store_u64(std::uint8_t* p, std::uint64_t v) {
@@ -107,7 +109,7 @@ void MarshalWriter::emit(const Object& obj) {
       const auto& a = obj.as_darray();
       store_u64(p_, a.size());
       if constexpr (kLittle) {
-        std::memcpy(p_ + 8, a.data(), 8 * a.size());
+        if (!a.empty()) std::memcpy(p_ + 8, a.data(), 8 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t bits;
@@ -124,7 +126,7 @@ void MarshalWriter::emit(const Object& obj) {
       const auto& a = obj.as_carray();
       store_u64(p_, a.size());
       if constexpr (kLittle) {
-        std::memcpy(p_ + 8, a.data(), 16 * a.size());
+        if (!a.empty()) std::memcpy(p_ + 8, a.data(), 16 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t re, im;
@@ -206,7 +208,7 @@ Object MarshalReader::read() {
       const auto* p = take(8 * static_cast<std::size_t>(count));
       std::vector<double> a(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 8 * a.size());
+        if (!a.empty()) std::memcpy(a.data(), p, 8 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t bits = load_u64(p + 8 * i);
@@ -220,7 +222,7 @@ Object MarshalReader::read() {
       const auto* p = take(16 * static_cast<std::size_t>(count));
       std::vector<std::complex<double>> a(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 16 * a.size());
+        if (!a.empty()) std::memcpy(a.data(), p, 16 * a.size());
       } else {
         for (std::size_t i = 0; i < a.size(); ++i) {
           std::uint64_t re = load_u64(p + 16 * i);
@@ -287,7 +289,7 @@ void MarshalReader::read_into(Object& out) {
       auto& a = out.as_darray();
       a.resize(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 8 * a.size());
+        if (!a.empty()) std::memcpy(a.data(), p, 8 * a.size());
       } else {
         for (std::size_t j = 0; j < a.size(); ++j) {
           std::uint64_t bits = load_u64(p + 8 * j);
@@ -303,7 +305,7 @@ void MarshalReader::read_into(Object& out) {
       auto& a = out.as_carray();
       a.resize(static_cast<std::size_t>(count));
       if constexpr (kLittle) {
-        std::memcpy(a.data(), p, 16 * a.size());
+        if (!a.empty()) std::memcpy(a.data(), p, 16 * a.size());
       } else {
         for (std::size_t j = 0; j < a.size(); ++j) {
           std::uint64_t re = load_u64(p + 16 * j);

@@ -17,10 +17,7 @@
 // Shutdown contract: shutdown() (and the destructor, which calls it)
 // first drains every already-submitted task, then joins the workers —
 // deterministically, in that order, and idempotently. Submitting after
-// shutdown began is a programming error and is checked. The parallel LP
-// runtime (sim/plp.hpp) parks its long-running per-worker loops in a
-// pool and relies on this drain-then-join discipline to tear down
-// cleanly after the conservative simulation quiesces.
+// shutdown began is a programming error and is checked.
 #pragma once
 
 #include <condition_variable>
@@ -83,9 +80,7 @@ class ThreadPool {
 /// of the lowest-index failing chunk is rethrown (deterministically)
 /// after all chunks complete. threads <= 1 (or a single chunk) runs
 /// inline on the caller in chunk order. This is the shared fan-out
-/// primitive: the sweep harness runs one item per chunk, and the LP
-/// runtime assigns logical processes to workers by chunk so the LP ->
-/// worker mapping is stable for any worker count.
+/// primitive: the sweep harness runs one item per chunk.
 template <class Fn>
 void parallel_chunks(std::size_t n, unsigned threads, std::size_t chunks, Fn&& fn) {
   if (n == 0 || chunks == 0) return;

@@ -5,9 +5,10 @@
 // SCSQ_BATCH_SIZE. Batching is a host-side optimization of *how* the
 // per-item cost charges are folded, never of *what* they add up to.
 // These tests pin that invariant for the paper's query shapes (fig6
-// point-to-point, fig8 merge trees) and for the fused local pipelines,
-// plus unit tests of the batch plumbing itself (ItemBatch recycling,
-// frame-granular receive batching, EOS-mid-batch delivery).
+// point-to-point, fig8 merge trees, fig15 inbound TCP trees) and for the
+// fused local pipelines, plus unit tests of the batch plumbing itself
+// (ItemBatch recycling, frame-granular receive batching, EOS-mid-batch
+// delivery).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -97,6 +98,40 @@ TEST(BatchInvariance, MergeUnevenProducers) {
       "where c=sp(count(merge(a)),'bg',0) "
       "and a=spv((select gen_array(1000, i * 3) "
       "from integer i where i in iota(1,3)), 'bg', {1, 2, 3});");
+}
+
+TEST(BatchInvariance, Fig15InboundMergeTree) {
+  // fig15 Q1 shape: back-end producers over TCP into a BlueGene merge
+  // tree, so every batch depth drives the pipelined TCP links.
+  expect_batch_invariant(
+      "select extract(c) from bag of sp a, sp b, sp c, integer n "
+      "where c=sp(extract(b), 'bg') "
+      "and b=sp(count(merge(a)), 'bg') "
+      "and a=spv((select gen_array(20000,3) from integer i where i in iota(1,n)), "
+      "'be', 1) "
+      "and n=4;");
+}
+
+TEST(BatchInvariance, Fig15PsetSpreadMerge) {
+  // fig15 Q5 shape: psetrr() spreads the count stage over the psets, so
+  // the final merge gathers TCP-fed counts over the torus across psets.
+  expect_batch_invariant(
+      "select extract(c) from bag of sp a, bag of sp b, sp c, integer n "
+      "where c=sp(streamof(sum(merge(b))), 'bg') "
+      "and b=spv((select streamof(count(extract(p))) from sp p where p in a), "
+      "'bg', psetrr()) "
+      "and a=spv((select gen_array(20000,3) from integer i where i in iota(1,n)), "
+      "'be', 1) "
+      "and n=4;");
+}
+
+TEST(BatchInvariance, BackEndToSecondPset) {
+  // A back-end producer streaming into pset 1 (bg8) over TCP, its count
+  // extracted back to the client.
+  expect_batch_invariant(
+      "select extract(b) from sp a, sp b "
+      "where b=sp(streamof(count(extract(a))),'bg',8) "
+      "and a=sp(gen_array(50000,6),'be',1);");
 }
 
 TEST(BatchInvariance, LocalFusedCount) {

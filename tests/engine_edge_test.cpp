@@ -3,6 +3,7 @@
 // paths not exercised by the paper's queries.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 
 #include "core/scsq.hpp"
@@ -190,6 +191,34 @@ TEST(EngineEdge, ZeroRecvBuffersIsAnError) {
   ScsqConfig config;
   config.exec.recv_buffers = 0;
   expect_config_error(config, "recv_buffers");
+}
+
+// SCSQ_BATCH_SIZE follows SCSQ_SAMPLE_INTERVAL's policy: a value that
+// is not a positive integer is an scsql error naming the variable and
+// the value, never a silent fall back to the default depth.
+TEST(EngineEdge, BadBatchSizeEnvIsAnError) {
+  for (const char* bad : {"0", "-1", "abc", "16x", " 16", "+16", "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    setenv("SCSQ_BATCH_SIZE", bad, 1);
+    try {
+      Scsq scsq;
+      ADD_FAILURE() << "SCSQ_BATCH_SIZE='" << bad << "' was accepted";
+    } catch (const scsql::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("SCSQ_BATCH_SIZE"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
+    }
+  }
+  setenv("SCSQ_BATCH_SIZE", "16", 1);
+  EXPECT_EQ(Scsq().engine().options().batch_size, 16u);
+  unsetenv("SCSQ_BATCH_SIZE");
+  EXPECT_EQ(Scsq().engine().options().batch_size, 256u);
+  // An explicit setting never reads the variable.
+  setenv("SCSQ_BATCH_SIZE", "abc", 1);
+  ScsqConfig config;
+  config.exec.batch_size = 4;
+  EXPECT_EQ(Scsq(config).engine().options().batch_size, 4u);
+  unsetenv("SCSQ_BATCH_SIZE");
 }
 
 }  // namespace

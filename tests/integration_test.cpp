@@ -188,6 +188,20 @@ TEST(Inbound, VaryingN) {
   }
 }
 
+// The TCP links' tie-break skews (hw::Machine::next_tie_skew) are part
+// of the simulated timeline: the perfbench reference elapsed times were
+// generated with the credit skew drawn before the delivery skew, from a
+// per-machine count that runs on across statements. Both orders, and no
+// skew at all, print the same rounded figure tables, so this test pins
+// the exact elapsed times of two statements on one machine.
+TEST(Inbound, TcpTieSkewTimelineIsPinned) {
+  Scsq scsq;
+  const auto first = scsq.run(inbound_query(1, 2));
+  const auto second = scsq.run(inbound_query(5, 2));
+  EXPECT_EQ(first.elapsed_s, 0x1.6a62ff4d3ee0ap-3) << std::hexfloat << first.elapsed_s;
+  EXPECT_EQ(second.elapsed_s, 0x1.68984e4e1336ap-4) << std::hexfloat << second.elapsed_s;
+}
+
 TEST(Inbound, Query1SingleBackendNodeUsed) {
   Scsq scsq;
   auto r = scsq.run(inbound_query(1, 4));

@@ -6,6 +6,8 @@
 // validation rests on.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -23,8 +25,14 @@ using scsq::util::json::Value;
 class ObsStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    metrics_path_ = ::testing::TempDir() + "obs_stress_metrics.jsonl";
-    profile_path_ = ::testing::TempDir() + "obs_stress_profile.jsonl";
+    // One pair of files per test process: ctest runs the tests of this
+    // fixture as concurrent processes, which must not append to each
+    // other's side channels.
+    const std::string tag =
+        std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) + "_" +
+        std::to_string(::getpid());
+    metrics_path_ = ::testing::TempDir() + "obs_stress_metrics_" + tag + ".jsonl";
+    profile_path_ = ::testing::TempDir() + "obs_stress_profile_" + tag + ".jsonl";
     ::setenv("SCSQ_BENCH_QUICK", "1", 1);
     ::setenv("SCSQ_BENCH_THREADS", "4", 1);
     ::setenv("SCSQ_METRICS_OUT", metrics_path_.c_str(), 1);

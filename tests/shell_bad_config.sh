@@ -20,4 +20,7 @@ check() {
 check SCSQ_BUFFER_BYTES=0
 check SCSQ_SEND_BUFFERS=0
 check SCSQ_SAMPLE_INTERVAL=abc
+check SCSQ_BATCH_SIZE=0
+check SCSQ_BATCH_SIZE=-1
+check SCSQ_BATCH_SIZE=abc
 exit $status

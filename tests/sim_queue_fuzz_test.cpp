@@ -1,25 +1,18 @@
 // Differential fuzz for the timed pending-event set (sim/event_queue.hpp).
 //
 // A deterministic random "program" of call_at / cancel_timer / spawned
-// delay-chain interleavings is replayed against every combination of
-//   queue mode  x  drive mode
-// where queue mode is {heap, ladder} and drive mode is
-//   kRun      — plain Simulator::run (the run_loop fast path),
-//   kMux      — the sequenced-multiplexer protocol LpDomain::run_sequenced
-//               uses: next_event_key -> front_cancelled -> advance_now ->
-//               run_one (front inspection without dispatching),
-//   kWindowed — run_before horizon chopping (the conservative-PLP window
-//               primitive).
-// Every dispatched callback logs (now(), tag) and draws its next actions
-// from a shared RNG, so the slightest ordering divergence cascades into a
-// completely different log. All six logs must be element-for-element
-// identical — that is the ladder queue's core contract: the exact
-// (time, seq) dispatch order of the binary-heap reference.
+// delay-chain interleavings is replayed on both queue modes {heap,
+// ladder}. Every dispatched callback logs (now(), tag) and draws its next
+// actions from a shared RNG, so the slightest ordering divergence
+// cascades into a completely different log. The two logs must be
+// element-for-element identical — that is the ladder queue's core
+// contract: the exact (time, seq) dispatch order of the binary-heap
+// reference.
 //
 // Timestamps are quantized to a coarse grid so same-timestamp ties (the
 // seq tie-break) occur constantly, including dt == 0 arms that take the
-// same-time FIFO fast path and race the timed set inside
-// next_event_key's front selection.
+// same-time FIFO fast path and race the timed set inside the run loop's
+// front selection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -43,8 +36,6 @@ struct Dispatch {
   int tag;
   bool operator==(const Dispatch& o) const { return at == o.at && tag == o.tag; }
 };
-
-enum class Drive { kRun, kMux, kWindowed };
 
 struct FuzzWorld {
   Simulator& sim;
@@ -117,95 +108,51 @@ void FuzzWorld::spawn_chain() {
   sim.spawn(chain_task(this, hops));
 }
 
-// Drives `sim` to completion the way LpDomain::run_sequenced drives its
-// shards: inspect the front, silently pop cancelled nodes, lockstep the
-// clock, dispatch exactly one event.
-void drive_multiplexed(Simulator& sim) {
-  for (;;) {
-    double at;
-    std::uint64_t seq;
-    if (!sim.next_event_key(&at, &seq)) break;
-    if (sim.front_cancelled()) {
-      EXPECT_FALSE(sim.run_one());  // consumed silently, clock untouched
-      continue;
-    }
-    sim.advance_now(at);
-    EXPECT_TRUE(sim.run_one());
-  }
-}
-
-// Chops the run into run_before windows barely past the current front, so
-// most windows dispatch a handful of events and every horizon comparison
-// (strictly-below) gets exercised against ties on the grid.
-void drive_windowed(Simulator& sim) {
-  while (sim.next_event_time() < Simulator::kNoLimit) {
-    sim.run_before(sim.next_event_time() + 2.5e-4);
-  }
-}
-
-std::vector<Dispatch> run_program_on(Simulator& sim, std::uint64_t seed, Drive drive) {
+std::vector<Dispatch> run_program_on(Simulator& sim, std::uint64_t seed) {
   FuzzWorld w(sim, seed, /*budget=*/400);
   for (int i = 0; i < 16; ++i) w.arm();
   w.spawn_chain();
   w.spawn_chain();
-  switch (drive) {
-    case Drive::kRun:
-      sim.run();
-      break;
-    case Drive::kMux:
-      drive_multiplexed(sim);
-      break;
-    case Drive::kWindowed:
-      drive_windowed(sim);
-      break;
-  }
+  sim.run();
   EXPECT_EQ(sim.live_root_tasks(), 0u);
   return std::move(w.log);
 }
 
-std::vector<Dispatch> run_program(EventQueue::Mode mode, std::uint64_t seed, Drive drive) {
+std::vector<Dispatch> run_program(EventQueue::Mode mode, std::uint64_t seed) {
   Simulator sim(mode);
-  return run_program_on(sim, seed, drive);
+  return run_program_on(sim, seed);
 }
 
 TEST(SimQueueFuzz, HeapAndLadderDispatchIdentically) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const auto ref = run_program(EventQueue::Mode::kHeap, seed, Drive::kRun);
+    const auto ref = run_program(EventQueue::Mode::kHeap, seed);
     ASSERT_GT(ref.size(), 100u) << "degenerate program, seed " << seed;
-    for (const Drive drive : {Drive::kRun, Drive::kMux, Drive::kWindowed}) {
-      const auto ladder = run_program(EventQueue::Mode::kLadder, seed, drive);
-      ASSERT_EQ(ref.size(), ladder.size())
-          << "seed " << seed << " drive " << static_cast<int>(drive);
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        ASSERT_TRUE(ref[i] == ladder[i])
-            << "seed " << seed << " drive " << static_cast<int>(drive) << " diverged at "
-            << i << ": heap (" << ref[i].at << ", " << ref[i].tag << ") vs ladder ("
-            << ladder[i].at << ", " << ladder[i].tag << ")";
-      }
+    const auto ladder = run_program(EventQueue::Mode::kLadder, seed);
+    ASSERT_EQ(ref.size(), ladder.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_TRUE(ref[i] == ladder[i])
+          << "seed " << seed << " diverged at " << i << ": heap (" << ref[i].at << ", "
+          << ref[i].tag << ") vs ladder (" << ladder[i].at << ", " << ladder[i].tag << ")";
     }
-    // The heap's own mux/windowed drives must also match its run drive
-    // (guards the front-inspection protocol itself, not just the ladder).
-    EXPECT_EQ(ref, run_program(EventQueue::Mode::kHeap, seed, Drive::kMux));
-    EXPECT_EQ(ref, run_program(EventQueue::Mode::kHeap, seed, Drive::kWindowed));
   }
 }
 
 TEST(SimQueueFuzz, ResetReplaysProgramsIdentically) {
   Simulator sim(EventQueue::Mode::kLadder);
-  const auto first = run_program_on(sim, 77, Drive::kRun);
+  const auto first = run_program_on(sim, 77);
   ASSERT_GT(first.size(), 100u);
   for (int cycle = 0; cycle < 3; ++cycle) {
     sim.reset();
     EXPECT_EQ(sim.now(), 0.0);
     EXPECT_EQ(sim.queue_depth(), 0u);
-    const auto replay = run_program_on(sim, 77, Drive::kRun);
+    const auto replay = run_program_on(sim, 77);
     ASSERT_EQ(first.size(), replay.size()) << "cycle " << cycle;
     EXPECT_EQ(first, replay) << "cycle " << cycle;
   }
   // A different seed on the recycled storage still matches a fresh kernel.
   sim.reset();
-  EXPECT_EQ(run_program_on(sim, 78, Drive::kRun),
-            run_program(EventQueue::Mode::kLadder, 78, Drive::kRun));
+  EXPECT_EQ(run_program_on(sim, 78),
+            run_program(EventQueue::Mode::kLadder, 78));
 }
 
 // Degenerate shapes the ladder handles through dedicated paths: a flood

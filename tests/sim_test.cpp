@@ -504,64 +504,13 @@ TEST(Simulator, CallAtSlabRecyclesAcrossManyCallbacks) {
   EXPECT_EQ(sim.perf().callbacks_run, 1000u);
 }
 
-// run_before is strict: an event AT the horizon must not run, because
-// a conservative LP's neighbor may still deliver a same-timestamp
-// message that has to be merged in key order first.
-TEST(Simulator, RunBeforeExcludesHorizonEvents) {
-  Simulator sim;
-  std::vector<double> ran;
-  sim.call_at(1.0, [&] { ran.push_back(1.0); });
-  sim.call_at(2.0, [&] { ran.push_back(2.0); });
-  sim.call_at(3.0, [&] { ran.push_back(3.0); });
-  sim.run_before(2.0);
-  EXPECT_EQ(ran, (std::vector<double>{1.0}));
-  EXPECT_DOUBLE_EQ(sim.next_event_time(), 2.0);
-  // A later window picks the horizon event up.
-  sim.run_before(2.5);
-  EXPECT_EQ(ran, (std::vector<double>{1.0, 2.0}));
-  sim.run();
-  EXPECT_EQ(ran, (std::vector<double>{1.0, 2.0, 3.0}));
-}
-
-// Contrast with run(), which is inclusive of its limit.
-TEST(Simulator, RunBeforeVsRunAtSameLimit) {
-  Simulator a, b;
-  int ra = 0, rb = 0;
-  a.call_at(5.0, [&] { ++ra; });
-  b.call_at(5.0, [&] { ++rb; });
-  a.run(5.0);
-  b.run_before(5.0);
-  EXPECT_EQ(ra, 1);
-  EXPECT_EQ(rb, 0);
-}
-
-// Same-timestamp FIFO order must hold across repeated strict windows:
-// events scheduled "now" during a window run in spawn order even when
-// the window boundary lands exactly on their timestamp.
-TEST(Simulator, RunBeforePreservesSameTimestampFifo) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.call_at(1.0, [&] {
-    order.push_back(0);
-    // Schedule three same-timestamp followers; they land in the FIFO
-    // lane and must run in submission order within a later window.
-    for (int i = 1; i <= 3; ++i) {
-      sim.call_at(1.0, [&order, i] { order.push_back(i); });
-    }
-  });
-  sim.run_before(1.0);
-  EXPECT_TRUE(order.empty());  // strictly before 1.0: nothing runs
-  sim.run_before(1.5);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST(Simulator, NextEventTimeTracksQueueState) {
   Simulator sim;
   EXPECT_DOUBLE_EQ(sim.next_event_time(), Simulator::kNoLimit);
   sim.call_at(4.0, [] {});
   sim.call_at(2.0, [] {});
   EXPECT_DOUBLE_EQ(sim.next_event_time(), 2.0);
-  sim.run_before(3.0);
+  sim.run(3.0);
   EXPECT_DOUBLE_EQ(sim.next_event_time(), 4.0);
   sim.run();
   EXPECT_DOUBLE_EQ(sim.next_event_time(), Simulator::kNoLimit);

@@ -459,7 +459,7 @@ struct Pipe {
        bool pooled = false) {
     params.buffer_bytes = buffer_bytes;
     params.send_buffers = send_buffers;
-    if (pooled) params.frame_pool = &machine.pool_of(src);
+    if (pooled) params.frame_pool = &machine.frame_pool();
     rx = std::make_unique<ReceiverDriver>(sim, params, machine.cpu_of(dst));
     auto link = make_link(machine, src, dst, rx->inbox(), /*source_tag=*/1);
     tx = std::make_unique<SenderDriver>(sim, params, machine.cpu_of(src), std::move(link), 1);

@@ -118,35 +118,19 @@ grep -Eq 'total +.* 100\.0%' "$TMPD/explain_out.txt" || { echo "attribution does
 echo "== bench_kernels marshal/frame smoke =="
 "$BUILD/bench/bench_kernels" --benchmark_filter='BM_(MarshalRoundTrip|FrameCutterCut|FramePoolRecycle|OperatorPipeline)' > /dev/null
 
-# Parallel-LP invariance: the fig6 quick tables must be byte-identical
-# for every SCSQ_SIM_LPS (the LP count is a semantic knob whose only
-# observable effect is the engine.rp.lp / engine.sim_lps gauges on the
-# metrics side channel — never stdout). Only the [harness] stderr banner
-# carries wall clock, and it is not captured here.
-echo "== bench_fig6_p2p SCSQ_SIM_LPS invariance =="
-SCSQ_SIM_LPS=1 "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_lps1.txt"
-SCSQ_SIM_LPS=4 "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_lps4.txt"
-cmp "$TMPD/fig6_lps1.txt" "$TMPD/fig6_lps4.txt" || {
-  echo "SCSQ_SIM_LPS changed bench output"; exit 1; }
-echo "   fig6 tables byte-identical at SCSQ_SIM_LPS=1 vs 4"
-
 # Telemetry-sampler smoke: arming SCSQ_SAMPLE_INTERVAL must leave bench
-# stdout byte-identical (sampler on/off, crossed with SCSQ_SIM_LPS 1/4 —
-# the sampler's zero-duration ticks may not perturb a single simulated
-# second), the SCSQ_TIMESERIES_OUT JSONL must validate, and the
-# --timeseries analyzer must hold its exit-code contract: 0 on a clean
-# analyze and on a self-diff, 1 on an injected steady-rate regression.
+# stdout byte-identical (the sampler's zero-duration ticks may not
+# perturb a single simulated second), the SCSQ_TIMESERIES_OUT JSONL must
+# validate, and the --timeseries analyzer must hold its exit-code
+# contract: 0 on a clean analyze and on a self-diff, 1 on an injected
+# steady-rate regression.
 echo "== telemetry sampler time series =="
 SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_TIMESERIES_OUT="$TMPD/fig6_ts.jsonl" \
   "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_sampled.txt"
 cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_sampled.txt" || {
   echo "SCSQ_SAMPLE_INTERVAL changed bench stdout"; exit 1; }
-SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_SIM_LPS=4 \
-  "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_sampled_lps4.txt"
-cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_sampled_lps4.txt" || {
-  echo "SCSQ_SAMPLE_INTERVAL x SCSQ_SIM_LPS changed bench stdout"; exit 1; }
 validate_json "$TMPD/fig6_ts.jsonl"
-echo "   stdout byte-identical sampler on/off at SCSQ_SIM_LPS 1 and 4;" \
+echo "   stdout byte-identical sampler on/off;" \
      "JSONL ok ($(wc -l < "$TMPD/fig6_ts.jsonl") windows)"
 "$BUILD/tools/metrics_diff" --timeseries "$TMPD/fig6_ts.jsonl" > /dev/null
 "$BUILD/tools/metrics_diff" --timeseries "$TMPD/fig6_ts.jsonl" "$TMPD/fig6_ts.jsonl" > /dev/null
@@ -165,9 +149,9 @@ echo "   --timeseries: clean analyze + self-diff exit 0, injected regression exi
 # Introspection-monitor smoke: a continuous SCSQL threshold monitor over
 # system.metrics must (a) leave bench stdout byte-identical — monitors
 # run as zero-duration read-only callbacks at sampler window boundaries
-# (DESIGN.md §5.8) — including at SCSQ_SIM_LPS=4 x SCSQ_BATCH_SIZE=1,
-# (b) emit at least one alert to SCSQ_MONITOR_OUT, and (c) produce a
-# JSONL alert stream that validates under metrics_diff --alerts.
+# (DESIGN.md §5.8) — including at SCSQ_BATCH_SIZE=1, (b) emit at least
+# one alert to SCSQ_MONITOR_OUT, and (c) produce a JSONL alert stream
+# that validates under metrics_diff --alerts.
 echo "== introspection monitor alerts =="
 MONITOR_Q="above(sum(system.rates('transport.link.bytes')), 1)"
 SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_MONITOR="$MONITOR_Q" \
@@ -177,78 +161,43 @@ cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_monitored.txt" || {
   echo "SCSQ_MONITOR changed bench stdout"; exit 1; }
 [[ -s "$TMPD/fig6_alerts.jsonl" ]] || { echo "monitor emitted no alerts"; exit 1; }
 validate_json "$TMPD/fig6_alerts.jsonl"
-SCSQ_SIM_LPS=4 SCSQ_BATCH_SIZE=1 \
-  "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_lps4b1.txt"
-SCSQ_SIM_LPS=4 SCSQ_BATCH_SIZE=1 SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_MONITOR="$MONITOR_Q" \
-  "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_lps4b1_mon.txt"
-cmp "$TMPD/fig6_lps4b1.txt" "$TMPD/fig6_lps4b1_mon.txt" || {
-  echo "SCSQ_MONITOR x SCSQ_SIM_LPS x SCSQ_BATCH_SIZE changed bench stdout"; exit 1; }
+SCSQ_BATCH_SIZE=1 \
+  "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_b1.txt"
+SCSQ_BATCH_SIZE=1 SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_MONITOR="$MONITOR_Q" \
+  "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_b1_mon.txt"
+cmp "$TMPD/fig6_b1.txt" "$TMPD/fig6_b1_mon.txt" || {
+  echo "SCSQ_MONITOR x SCSQ_BATCH_SIZE changed bench stdout"; exit 1; }
 "$BUILD/tools/metrics_diff" --alerts "$TMPD/fig6_alerts.jsonl"
-echo "   stdout byte-identical monitor on/off (also at lps=4 batch=1);" \
+echo "   stdout byte-identical monitor on/off (also at batch=1);" \
      "$(wc -l < "$TMPD/fig6_alerts.jsonl") alert(s) validated"
-
-# Parallel engine drive: the fig8 quick tables must be byte-identical
-# at SCSQ_SIM_LPS=4 (the data plane runs across conservative LPs — or
-# the sequenced fallback for cross-pset MPI shapes — with identical
-# output either way).
-echo "== bench_fig8_merge SCSQ_SIM_LPS invariance =="
-SCSQ_SIM_LPS=4 "$BUILD/bench/bench_fig8_merge" 2> /dev/null \
-  | grep -v '^\[harness\]' > "$TMPD/fig8_lps4.txt"
-cmp "$TMPD/fig8_batchdef.txt" "$TMPD/fig8_lps4.txt" || {
-  echo "SCSQ_SIM_LPS changed fig8 bench output"; exit 1; }
-echo "   fig8 tables byte-identical at SCSQ_SIM_LPS=1 vs 4"
 
 # Pending-event-set invariance: the ladder queue (the default) and the
 # binary-heap reference behind SCSQ_EVENT_QUEUE=heap must dispatch in
 # the identical (time, seq) order, so the fig6 and fig8 quick tables are
-# byte-identical across queue modes — sequential and at SCSQ_SIM_LPS=4
-# (windowed drive + sequenced fallback on top of either structure).
+# byte-identical across queue modes.
 echo "== SCSQ_EVENT_QUEUE heap-vs-ladder invariance =="
 SCSQ_EVENT_QUEUE=heap "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_heap.txt"
 cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_heap.txt" || {
   echo "SCSQ_EVENT_QUEUE changed fig6 bench output"; exit 1; }
-SCSQ_EVENT_QUEUE=heap SCSQ_SIM_LPS=4 \
-  "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_heap_lps4.txt"
-cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_heap_lps4.txt" || {
-  echo "SCSQ_EVENT_QUEUE x SCSQ_SIM_LPS changed fig6 bench output"; exit 1; }
 SCSQ_EVENT_QUEUE=heap "$BUILD/bench/bench_fig8_merge" 2> /dev/null \
   | grep -v '^\[harness\]' > "$TMPD/fig8_heap.txt"
 cmp "$TMPD/fig8_batchdef.txt" "$TMPD/fig8_heap.txt" || {
   echo "SCSQ_EVENT_QUEUE changed fig8 bench output"; exit 1; }
-SCSQ_EVENT_QUEUE=heap SCSQ_SIM_LPS=4 "$BUILD/bench/bench_fig8_merge" 2> /dev/null \
-  | grep -v '^\[harness\]' > "$TMPD/fig8_heap_lps4.txt"
-cmp "$TMPD/fig8_batchdef.txt" "$TMPD/fig8_heap_lps4.txt" || {
-  echo "SCSQ_EVENT_QUEUE x SCSQ_SIM_LPS changed fig8 bench output"; exit 1; }
-echo "   fig6/fig8 tables byte-identical heap vs ladder (SCSQ_SIM_LPS 1 and 4)"
+echo "   fig6/fig8 tables byte-identical heap vs ladder"
 
-# Conservative-LP runtime smoke: both benchmarks abort on any LP-count
-# determinism violation (checksum / run-report fingerprint vs the
-# sequential run), so one fast shot doubles as a correctness gate.
-# BM_EngineParallel drives the *whole engine* (parse -> wire -> windowed
-# parallel drive) at 1 and 4 LPs.
-"$BUILD/bench/bench_kernels" \
-  --benchmark_filter='BM_(ParallelSim|EngineParallel)' --benchmark_min_time=0.01 > /dev/null
-
-# TSAN pass over the parallel LP runtime: mailbox SPSC rings, channel
-# clocks and the quiescence detector are hand-rolled atomics — run the
-# full plp test suite (which includes 4-LP multi-worker runs) under
-# ThreadSanitizer. Skipped when the toolchain cannot link a trivial
-# -fsanitize=thread program.
+# TSAN pass over the code that still starts threads: the thread pool
+# and parallel sweep helpers, the sweep harness (one Simulator per
+# worker, shared coroutine-frame chunk registry) and the registry/JSONL
+# side channels under a 4-thread sweep. Skipped when the toolchain
+# cannot link a trivial -fsanitize=thread program.
 if echo 'int main(){}' | c++ -x c++ -fsanitize=thread -o /dev/null - 2> /dev/null; then
-  echo "== plp_test under ThreadSanitizer =="
+  echo "== util_test + sweep_test + obs_stress_test under ThreadSanitizer =="
   cmake -B "$BUILD-tsan" -S . -DSCSQ_TSAN=ON > /dev/null
   cmake --build "$BUILD-tsan" -j"$(nproc)" \
-    --target plp_test monitor_test engine_parallel_test sim_queue_fuzz_test > /dev/null
-  "$BUILD-tsan/tests/plp_test"
-  # Ladder-queue differential fuzz under TSAN: the coroutine-frame pool's
-  # chunk registry is shared across worker threads.
-  "$BUILD-tsan/tests/sim_queue_fuzz_test"
-  # Monitor alert files use the shared truncate-once side-channel mutex;
-  # run the monitor suite under TSAN alongside the LP runtime.
-  "$BUILD-tsan/tests/monitor_test"
-  # The engine's windowed parallel drive (per-LP frame pools, frozen
-  # fabric factors, deferred link metrics, cross-LP staging) under TSAN.
-  "$BUILD-tsan/tests/engine_parallel_test"
+    --target util_test sweep_test obs_stress_test > /dev/null
+  "$BUILD-tsan/tests/util_test"
+  "$BUILD-tsan/tests/sweep_test"
+  "$BUILD-tsan/tests/obs_stress_test"
 else
   echo "== skipping TSAN pass (toolchain lacks ThreadSanitizer) =="
 fi

@@ -131,20 +131,17 @@ Value parse_file(const std::string& path) {
   }
 }
 
-/// Execution-layout gauge families: engine.sim_lps.* (requested and
-/// effective LP partition width), transport.frame_pool.* (shard
-/// recycling counters, including the per-LP shard.* labels),
-/// sim.queue.* (ladder-queue internals — rung spills and bottom resorts
-/// are zero under SCSQ_EVENT_QUEUE=heap) and sim.coro.* (process-wide
-/// frame-pool recycling, which accumulates across every run in the
-/// process). These describe HOW the host drove a run, not WHAT the
-/// simulation produced, and legitimately differ between runs at
-/// different SCSQ_SIM_LPS / SCSQ_EVENT_QUEUE even though every
-/// simulated result is byte-identical — so neither the --check floor
-/// nor the diff regression gate applies to them.
+/// Execution-layout gauge families: transport.frame_pool.* (host-side
+/// frame recycling counters), sim.queue.* (ladder-queue internals —
+/// rung spills and bottom resorts are zero under SCSQ_EVENT_QUEUE=heap)
+/// and sim.coro.* (process-wide coroutine-frame recycling, which
+/// accumulates across every run in the process). These describe HOW the
+/// host drove a run, not WHAT the simulation produced, and legitimately
+/// differ between builds and between runs at different SCSQ_EVENT_QUEUE
+/// even though every simulated result is byte-identical — so neither
+/// the --check floor nor the diff regression gate applies to them.
 bool is_layout_gauge(const std::string& path) {
-  return path.find("engine.sim_lps.") != std::string::npos ||
-         path.find("transport.frame_pool.") != std::string::npos ||
+  return path.find("transport.frame_pool.") != std::string::npos ||
          path.find("sim.queue.") != std::string::npos ||
          path.find("sim.coro.") != std::string::npos;
 }
@@ -240,7 +237,7 @@ int run_diff(const std::string& old_path, const std::string& new_path, double th
     const double new_value = it->second;
     if (new_value == old_value) continue;
     if (is_layout_gauge(path)) {
-      std::printf("LAYOUT     %s: %g -> %g (differs with the LP layout; not gated)\n",
+      std::printf("LAYOUT     %s: %g -> %g (host execution layout; not gated)\n",
                   path.c_str(), old_value, new_value);
       continue;
     }

@@ -42,8 +42,8 @@
 //              timings are unchanged (DESIGN.md §5.7).
 //   \monitor <query>
 //              register a continuous introspection query (DESIGN.md
-//              §5.8) over system.metrics / system.gauges / system.rates
-//              / system.lp; it runs at every sampler window boundary of
+//              §5.8) over system.metrics / system.gauges /
+//              system.rates; it runs at every sampler window boundary of
 //              subsequent statements, and matched rows are reported
 //              after each statement (and appended to SCSQ_MONITOR_OUT
 //              as JSONL when set). Requires an armed sampler (\watch or
