@@ -53,7 +53,7 @@ void BM_FrameCutter(benchmark::State& state) {
   const auto buffer = static_cast<std::uint64_t>(state.range(0));
   scsq::transport::FramePool pool;
   for (auto _ : state) {
-    scsq::transport::FrameCutter cutter(buffer, &pool);
+    scsq::transport::FrameCutter cutter(buffer, pool);
     std::size_t frames = 0;
     for (int i = 0; i < 64; ++i) {
       cutter.push(Object{scsq::catalog::SynthArray{30'000, 0}});
@@ -133,19 +133,19 @@ BENCHMARK_CAPTURE(BM_MarshalRoundTrip, bag, "bag");
 void BM_FrameCutterCut(benchmark::State& state) {
   scsq::transport::FramePool pool;
   for (auto _ : state) {
-    scsq::transport::FrameCutter cutter(100, &pool);
+    scsq::transport::FrameCutter cutter(100, pool);
     std::size_t objects = 0;
     for (int i = 0; i < 256; ++i) {
       cutter.push(Object{i});
       while (cutter.has_full()) {
-        auto f = cutter.cut_full();
-        objects += f.objects.size();
-        pool.recycle(std::move(f));
+        scsq::transport::Frame* f = cutter.cut_full();
+        objects += f->objects.size();
+        pool.recycle(f);
       }
     }
-    auto last = cutter.finish();
-    objects += last.objects.size();
-    pool.recycle(std::move(last));
+    scsq::transport::Frame* last = cutter.finish();
+    objects += last->objects.size();
+    pool.recycle(last);
     benchmark::DoNotOptimize(objects);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 256);
@@ -158,11 +158,11 @@ BENCHMARK(BM_FrameCutterCut);
 void BM_FramePoolRecycle(benchmark::State& state) {
   scsq::transport::FramePool pool;
   for (auto _ : state) {
-    auto frame = pool.acquire();
-    frame.bytes = 4096;
-    frame.objects.emplace_back(scsq::catalog::SynthArray{4096, 0});
-    benchmark::DoNotOptimize(frame.objects.data());
-    pool.recycle(std::move(frame));
+    scsq::transport::Frame* frame = pool.acquire();
+    frame->bytes = 4096;
+    frame->objects.emplace_back(scsq::catalog::SynthArray{4096, 0});
+    benchmark::DoNotOptimize(frame->objects.data());
+    pool.recycle(frame);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -388,17 +388,18 @@ BENCHMARK_CAPTURE(BM_EventQueue, cancel_heavy_heap, 3, scsq::sim::EventQueue::Mo
 constexpr int kPipeFrames = 40;
 constexpr int kPipeObjectsPerFrame = 256;
 
-scsq::sim::Task<void> feed_frames(scsq::sim::Channel<scsq::transport::Frame>& inbox,
-                                  int frames, int objects_per_frame) {
+scsq::sim::Task<void> feed_frames(scsq::sim::Channel<scsq::transport::Frame*>& inbox,
+                                  scsq::transport::FramePool& pool, int frames,
+                                  int objects_per_frame) {
   for (int f = 0; f < frames; ++f) {
-    scsq::transport::Frame fr;
-    fr.objects.reserve(static_cast<std::size_t>(objects_per_frame));
+    scsq::transport::Frame* fr = pool.acquire();
+    fr->objects.reserve(static_cast<std::size_t>(objects_per_frame));
     for (int i = 0; i < objects_per_frame; ++i) {
-      fr.objects.emplace_back(static_cast<std::int64_t>(i));
+      fr->objects.emplace_back(static_cast<std::int64_t>(i));
     }
-    fr.bytes = static_cast<std::uint64_t>(objects_per_frame) * 9;
-    fr.eos = f + 1 == frames;
-    co_await inbox.send(std::move(fr));
+    fr->bytes = static_cast<std::uint64_t>(objects_per_frame) * 9;
+    fr->eos = f + 1 == frames;
+    co_await inbox.send(fr);
   }
 }
 
@@ -427,6 +428,7 @@ void BM_OperatorPipeline(benchmark::State& state, const char* mode) {
   for (auto _ : state) {
     scsq::sim::Simulator sim;
     scsq::sim::Resource cpu(sim, 1, "cpu");
+    scsq::transport::FramePool pool;
     scsq::plan::PlanContext ctx;
     ctx.sim = &sim;
     ctx.cpu = &cpu;
@@ -437,7 +439,7 @@ void BM_OperatorPipeline(benchmark::State& state, const char* mode) {
       // frames of small objects (the shape where per-item coroutine
       // towers dominated).
       scsq::transport::ReceiverDriver driver(sim, scsq::transport::DriverParams{}, cpu);
-      sim.spawn(feed_frames(driver.inbox(), kPipeFrames, kPipeObjectsPerFrame));
+      sim.spawn(feed_frames(driver.inbox(), pool, kPipeFrames, kPipeObjectsPerFrame));
       scsq::plan::PassOp root(std::make_unique<scsq::plan::ReceiveOp>(driver));
       sim.spawn(drive_operator(root, depth, items));
       sim.run();
@@ -460,8 +462,8 @@ void BM_OperatorPipeline(benchmark::State& state, const char* mode) {
     } else {  // merge
       scsq::transport::ReceiverDriver d1(sim, scsq::transport::DriverParams{}, cpu);
       scsq::transport::ReceiverDriver d2(sim, scsq::transport::DriverParams{}, cpu);
-      sim.spawn(feed_frames(d1.inbox(), kPipeFrames, kPipeObjectsPerFrame));
-      sim.spawn(feed_frames(d2.inbox(), kPipeFrames, kPipeObjectsPerFrame));
+      sim.spawn(feed_frames(d1.inbox(), pool, kPipeFrames, kPipeObjectsPerFrame));
+      sim.spawn(feed_frames(d2.inbox(), pool, kPipeFrames, kPipeObjectsPerFrame));
       scsq::plan::MergeOp root(ctx, {&d1, &d2});
       sim.spawn(drive_operator(root, depth, items));
       sim.run();

@@ -24,6 +24,7 @@ FlowId EthernetFabric::open_flow(int src, int dst) {
   FlowId id = next_flow_++;
   flows_[id] = Flow{src, dst};
   hosts_[dst].inbound_flows += 1;
+  ++flows_version_;
   return id;
 }
 
@@ -32,29 +33,40 @@ void EthernetFabric::close_flow(FlowId id) {
   SCSQ_CHECK(it != flows_.end()) << "close of unknown flow " << id;
   hosts_[it->second.dst].inbound_flows -= 1;
   flows_.erase(it);
+  ++flows_version_;
 }
 
 int EthernetFabric::distinct_senders_to_ionodes() const {
-  std::set<int> senders;
-  for (const auto& [id, flow] : flows_) {
-    if (hosts_[flow.dst].is_ionode) senders.insert(flow.src);
+  if (senders_version_ != flows_version_) {
+    std::set<int> senders;
+    for (const auto& [id, flow] : flows_) {
+      if (hosts_[flow.dst].is_ionode) senders.insert(flow.src);
+    }
+    senders_to_ionodes_ = static_cast<int>(senders.size());
+    senders_version_ = flows_version_;
   }
-  return static_cast<int>(senders.size());
+  return senders_to_ionodes_;
 }
 
 double EthernetFabric::sender_imbalance_factor(int src) const {
+  const Host& host = hosts_.at(src);
+  if (host.imbalance_version == flows_version_) return host.imbalance;
   // Destinations this source currently feeds.
   std::set<int> dsts;
   for (const auto& [id, flow] : flows_) {
     if (flow.src == src) dsts.insert(flow.dst);
   }
-  if (dsts.size() < 2) return 1.0;
-  int lo = INT32_MAX, hi = 0;
-  for (int d : dsts) {
-    lo = std::min(lo, hosts_[d].inbound_flows);
-    hi = std::max(hi, hosts_[d].inbound_flows);
+  host.imbalance = 1.0;
+  if (dsts.size() >= 2) {
+    int lo = INT32_MAX, hi = 0;
+    for (int d : dsts) {
+      lo = std::min(lo, hosts_[d].inbound_flows);
+      hi = std::max(hi, hosts_[d].inbound_flows);
+    }
+    host.imbalance = 1.0 + params_.imbalance_coeff * static_cast<double>(hi - lo);
   }
-  return 1.0 + params_.imbalance_coeff * static_cast<double>(hi - lo);
+  host.imbalance_version = flows_version_;
+  return host.imbalance;
 }
 
 sim::Task<void> EthernetFabric::transfer(FlowId id, std::uint64_t bytes) {

@@ -71,6 +71,8 @@ class EthernetFabric {
 
   /// Number of distinct source hosts with open flows into I/O-node
   /// hosts (drives the I/O forwarding coordination factor in hw).
+  /// Memoized: recomputed only after open_flow/close_flow changed the
+  /// flow table, like sender_imbalance_factor().
   int distinct_senders_to_ionodes() const;
 
   /// Open flows into a given host.
@@ -91,12 +93,18 @@ class EthernetFabric {
   }
 
  private:
+  static constexpr std::uint64_t kStale = ~std::uint64_t{0};
+
   struct Host {
     std::string name;
     bool is_ionode = false;
     int inbound_flows = 0;
     std::unique_ptr<sim::Resource> tx;
     std::unique_ptr<sim::Resource> rx;
+    // sender_imbalance_factor(this host), valid at flows_version_ ==
+    // imbalance_version.
+    mutable double imbalance = 1.0;
+    mutable std::uint64_t imbalance_version = kStale;
   };
   struct Flow {
     int src = -1;
@@ -108,6 +116,12 @@ class EthernetFabric {
   std::vector<Host> hosts_;
   std::map<FlowId, Flow> flows_;
   FlowId next_flow_ = 1;
+  // Bumped by every open_flow/close_flow. The flow aggregates are read
+  // per TCP frame but change only per stream, so they are memoized
+  // against it.
+  std::uint64_t flows_version_ = 0;
+  mutable int senders_to_ionodes_ = 0;
+  mutable std::uint64_t senders_version_ = kStale;
 };
 
 }  // namespace scsq::net

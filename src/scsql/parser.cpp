@@ -1,11 +1,18 @@
 #include "scsql/parser.hpp"
 
 #include <optional>
+#include <string>
 
 #include "scsql/lexer.hpp"
 
 namespace scsq::scsql {
 namespace {
+
+// Deepest expression nesting the parser accepts. Every level costs a few
+// stack frames here and in the binder and evaluator, so an unbounded
+// depth (20,000 parentheses) overflowed the stack; past this a query is
+// an Error instead.
+constexpr int kMaxNestingDepth = 1000;
 
 class Parser {
  public:
@@ -50,14 +57,30 @@ class Parser {
     return true;
   }
 
-  Token expect(Tok kind, const std::string& what) {
-    if (!check(kind)) {
-      throw Error(what + " (found " + tok_name(peek().kind) + ")", peek().pos);
-    }
+  const Token& expect(Tok kind, const char* what) {
+    if (!check(kind)) fail_found(what);
     return tokens_[pos_++];
   }
 
-  [[noreturn]] void fail(const std::string& message) { throw Error(message, peek().pos); }
+  // The error paths are out of line and build their messages there. The
+  // grammar functions from expr() to primary() are on the stack once per
+  // nesting level, and a message string built in one of them would
+  // enlarge every one of those frames (by kilobytes under
+  // AddressSanitizer, enough to overflow the stack before the nesting
+  // limit).
+  [[noreturn, gnu::noinline]] void fail(const char* message) const {
+    throw Error(message, peek().pos);
+  }
+
+  /// Throws "<what> (found <next token>)".
+  [[noreturn, gnu::noinline]] void fail_found(const char* what) const {
+    throw Error(std::string(what) + " (found " + tok_name(peek().kind) + ")", peek().pos);
+  }
+
+  [[noreturn, gnu::noinline]] void fail_too_deep() const {
+    throw Error("expression nested deeper than " + std::to_string(kMaxNestingDepth) + " levels",
+                peek().pos);
+  }
 
   // --- grammar ---
 
@@ -81,11 +104,7 @@ class Parser {
     expect(Tok::kLParen, "expected '(' after function name");
     if (!check(Tok::kRParen)) {
       do {
-        Decl d;
-        d.pos = peek().pos;
-        d.type = type_ref();
-        d.name = expect(Tok::kIdent, "expected parameter name").text;
-        fn->params.push_back(std::move(d));
+        fn->params.push_back(decl("expected parameter name"));
       } while (match(Tok::kComma));
     }
     expect(Tok::kRParen, "expected ')' after parameters");
@@ -94,6 +113,15 @@ class Parser {
     expect(Tok::kAs, "expected 'as' before function body");
     fn->body = expr();
     return fn;
+  }
+
+  // `type IDENT`; `missing_name` is the error when the name is absent.
+  [[gnu::noinline]] Decl decl(const char* missing_name) {
+    Decl d;
+    d.pos = peek().pos;
+    d.type = type_ref();
+    d.name = expect(Tok::kIdent, missing_name).text;
+    return d;
   }
 
   TypeRef type_ref() {
@@ -168,52 +196,37 @@ class Parser {
     return lhs;
   }
 
+  // Every recursive path of the grammar (parentheses, call arguments, bag
+  // elements, selects, unary minus) passes through here, so this is
+  // where nesting depth is counted. An error ends the parse, so a throw
+  // need not restore depth_.
   ExprPtr unary() {
+    if (++depth_ > kMaxNestingDepth) fail_too_deep();
+    ExprPtr e;
     if (check(Tok::kMinus)) {
       SourcePos pos = peek().pos;
       ++pos_;
-      return make_neg(unary(), pos);
+      e = make_neg(unary(), pos);
+    } else {
+      e = primary();
     }
-    return primary();
+    --depth_;
+    return e;
   }
 
+  // Only the parenthesis case is handled inline: each other case has its
+  // own out-of-line function, so one nesting level carries the frame of
+  // the construct it actually nests through.
   ExprPtr primary() {
-    const Token& t = peek();
-    switch (t.kind) {
+    switch (peek().kind) {
       case Tok::kInt:
-        ++pos_;
-        return make_literal(catalog::Object{t.int_val}, t.pos);
       case Tok::kReal:
-        ++pos_;
-        return make_literal(catalog::Object{t.real_val}, t.pos);
       case Tok::kString:
-        ++pos_;
-        return make_literal(catalog::Object{t.text}, t.pos);
-      case Tok::kIdent: {
-        ++pos_;
-        if (match(Tok::kLParen)) {
-          std::vector<ExprPtr> args;
-          if (!check(Tok::kRParen)) {
-            do {
-              args.push_back(expr());
-            } while (match(Tok::kComma));
-          }
-          expect(Tok::kRParen, "expected ')' after arguments");
-          return make_call(t.text, std::move(args), t.pos);
-        }
-        return make_var(t.text, t.pos);
-      }
-      case Tok::kLBrace: {
-        ++pos_;
-        std::vector<ExprPtr> elems;
-        if (!check(Tok::kRBrace)) {
-          do {
-            elems.push_back(expr());
-          } while (match(Tok::kComma));
-        }
-        expect(Tok::kRBrace, "expected '}' after bag elements");
-        return make_bag(std::move(elems), t.pos);
-      }
+        return literal();
+      case Tok::kIdent:
+        return call_or_var();
+      case Tok::kLBrace:
+        return bag();
       case Tok::kLParen: {
         ++pos_;
         ExprPtr e = expr();
@@ -223,11 +236,46 @@ class Parser {
       case Tok::kSelect:
         return select_expr();
       default:
-        fail(std::string("expected expression, found ") + tok_name(t.kind));
+        fail_found("expected expression");
     }
   }
 
-  ExprPtr select_expr() {
+  [[gnu::noinline]] ExprPtr literal() {
+    const Token& t = tokens_[pos_++];
+    switch (t.kind) {
+      case Tok::kInt:
+        return make_literal(catalog::Object{t.int_val}, t.pos);
+      case Tok::kReal:
+        return make_literal(catalog::Object{t.real_val}, t.pos);
+      default:
+        return make_literal(catalog::Object{t.text}, t.pos);
+    }
+  }
+
+  [[gnu::noinline]] ExprPtr call_or_var() {
+    const Token& name = tokens_[pos_++];
+    if (!match(Tok::kLParen)) return make_var(name.text, name.pos);
+    return make_call(name.text, list(Tok::kRParen, "expected ')' after arguments"), name.pos);
+  }
+
+  [[gnu::noinline]] ExprPtr bag() {
+    const SourcePos pos = tokens_[pos_++].pos;
+    return make_bag(list(Tok::kRBrace, "expected '}' after bag elements"), pos);
+  }
+
+  // `expr (',' expr)*`, possibly empty, then `close`.
+  std::vector<ExprPtr> list(Tok close, const char* missing_close) {
+    std::vector<ExprPtr> items;
+    if (!check(close)) {
+      do {
+        items.push_back(expr());
+      } while (match(Tok::kComma));
+    }
+    expect(close, missing_close);
+    return items;
+  }
+
+  [[gnu::noinline]] ExprPtr select_expr() {
     SourcePos pos = peek().pos;
     auto sel = std::make_shared<Select>();
     sel->pos = pos;
@@ -237,11 +285,7 @@ class Parser {
     } while (match(Tok::kComma));
     if (match(Tok::kFrom)) {
       do {
-        Decl d;
-        d.pos = peek().pos;
-        d.type = type_ref();
-        d.name = expect(Tok::kIdent, "expected variable name in from clause").text;
-        sel->decls.push_back(std::move(d));
+        sel->decls.push_back(decl("expected variable name in from clause"));
       } while (match(Tok::kComma));
     }
     if (match(Tok::kWhere)) {
@@ -273,6 +317,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // unary() calls in progress
 };
 
 }  // namespace

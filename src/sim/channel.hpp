@@ -35,9 +35,9 @@ class Channel {
  public:
   /// Capacity must be >= 1 (a zero-capacity rendezvous is not supported).
   /// The buffer is a fixed ring of `capacity` default-constructed slots:
-  /// deliver/take are an index bump and a move-assign, and slots keep
-  /// whatever heap capacity their last occupant left behind (a recycled
-  /// Frame slot re-fills without allocating).
+  /// deliver/take are an index bump and a move-assign, so a channel of
+  /// handles (the transport's Channel<Frame*>) never allocates after
+  /// construction.
   Channel(Simulator& sim, std::size_t capacity)
       : sim_(&sim), capacity_(capacity), buffer_(capacity), senders_(sim), receivers_(sim) {
     SCSQ_CHECK(capacity_ >= 1) << "channel capacity must be >= 1";

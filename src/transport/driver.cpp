@@ -1,25 +1,26 @@
 #include "transport/driver.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <type_traits>
 
 namespace scsq::transport {
 
-void Link::start_transmit(Frame frame, sim::Resource& send_slots) {
+void Link::start_transmit(Frame* frame, sim::Resource& send_slots) {
   if (pipelined_) {
-    sim_->spawn(run_pipelined(std::move(frame), send_slots));
+    sim_->spawn(run_pipelined(frame, send_slots));
     return;
   }
-  sim_->spawn(run(std::move(frame), send_slots));
+  sim_->spawn(run(frame, send_slots));
 }
 
-sim::Task<void> Link::run(Frame frame, sim::Resource& send_slots) {
-  const bool eos = frame.eos;
-  const std::uint64_t payload = frame.bytes;
+sim::Task<void> Link::run(Frame* frame, sim::Resource& send_slots) {
+  const bool eos = frame->eos;
+  const std::uint64_t payload = frame->bytes;
   const double t0 = sim_->now();
   if (window_.in_use() >= window_.capacity()) ++batch_.stalls;
   co_await window_.acquire();
   const double window_wait = sim_->now() - t0;
-  co_await transmit_one(std::move(frame), send_slots);
+  co_await transmit_one(frame, send_slots);
   window_.release();
   const double t1 = sim_->now();
   // Scalar accounting batches across the burst of in-flight frames; the
@@ -57,44 +58,46 @@ void Link::flush_batch() const {
   batch_ = StatsBatch{};
 }
 
-sim::Task<void> Link::transmit_one(Frame, sim::Resource&) {
+sim::Task<void> Link::transmit_one(Frame*, sim::Resource&) {
   SCSQ_CHECK(false) << "link type '" << type_ << "' is pipelined, not sequential";
   co_return;
 }
 
-sim::Task<void> Link::src_transmit(Frame, sim::Resource&, double, double, bool) {
+sim::Task<void> Link::src_transmit(Frame*, sim::Resource&) {
   SCSQ_CHECK(false) << "link type '" << type_ << "' is sequential, not pipelined";
   co_return;
 }
 
-sim::Task<void> Link::dst_receive(Frame) {
+sim::Task<void> Link::dst_receive(Frame*) {
   SCSQ_CHECK(false) << "link type '" << type_ << "' is sequential, not pipelined";
   co_return;
 }
 
-void Link::announce_delivery(double at, Frame frame, double t0, double window_wait,
-                             bool stalled) {
-  // The frame rides in a copyable closure; the shared_ptr avoids
-  // deep-copying the object payload.
-  auto carried = std::make_shared<Frame>(std::move(frame));
-  sim_->call_at(at + pipeline_.delivery_skew_s, [this, carried, t0, window_wait, stalled] {
-    sim_->spawn(dst_run(std::move(*carried), t0, window_wait, stalled));
-  });
+void Link::announce_delivery(double at, Frame* frame) {
+  auto deliver = [this, frame] { sim_->spawn(dst_run(frame)); };
+  // std::function keeps a callable this small inline (no heap closure).
+  static_assert(sizeof(deliver) <= 16 && std::is_trivially_copyable_v<decltype(deliver)>);
+  sim_->call_at(at + pipeline_.delivery_skew_s, deliver);
 }
 
-sim::Task<void> Link::run_pipelined(Frame frame, sim::Resource& send_slots) {
-  const double t0 = sim_->now();
+sim::Task<void> Link::run_pipelined(Frame* frame, sim::Resource& send_slots) {
+  frame->queued_at = sim_->now();
   // Same stall test as the sequential path, accounted in dst_run.
-  const bool stalled = window_.in_use() >= window_.capacity();
+  frame->stalled = window_.in_use() >= window_.capacity();
   co_await window_.acquire();
-  const double window_wait = sim_->now() - t0;
-  co_await src_transmit(std::move(frame), send_slots, t0, window_wait, stalled);
+  frame->window_wait = sim_->now() - frame->queued_at;
+  co_await src_transmit(frame, send_slots);
 }
 
-sim::Task<void> Link::dst_run(Frame frame, double t0, double window_wait, bool stalled) {
-  const bool eos = frame.eos;
-  const std::uint64_t payload = frame.bytes;
-  co_await dst_receive(std::move(frame));
+sim::Task<void> Link::dst_run(Frame* frame) {
+  // Read everything first: once dst_receive has delivered the frame the
+  // receiver may recycle it.
+  const bool eos = frame->eos;
+  const std::uint64_t payload = frame->bytes;
+  const double t0 = frame->queued_at;
+  const double window_wait = frame->window_wait;
+  const bool stalled = frame->stalled;
+  co_await dst_receive(frame);
   const double t1 = sim_->now();
   batch_.frames += 1;
   batch_.payload_bytes += payload;
@@ -123,6 +126,15 @@ sim::Task<void> Link::dst_run(Frame frame, double t0, double window_wait, bool s
   }
 }
 
+namespace {
+
+FramePool& required_pool(const DriverParams& params) {
+  SCSQ_CHECK(params.frame_pool != nullptr) << "sender driver needs a frame pool";
+  return *params.frame_pool;
+}
+
+}  // namespace
+
 SenderDriver::SenderDriver(sim::Simulator& sim, DriverParams params, sim::Resource& cpu,
                            std::unique_ptr<Link> link, std::uint64_t producer_tag)
     : sim_(&sim),
@@ -130,7 +142,7 @@ SenderDriver::SenderDriver(sim::Simulator& sim, DriverParams params, sim::Resour
       cpu_(&cpu),
       link_(std::move(link)),
       tag_(producer_tag),
-      cutter_(params.buffer_bytes, params.frame_pool),
+      cutter_(params.buffer_bytes, required_pool(params)),
       slots_(sim, params.send_buffers, "sendbuf"),
       outbox_(sim, 1) {
   SCSQ_CHECK(link_ != nullptr) << "sender driver needs a link";
@@ -184,11 +196,11 @@ void SenderDriver::arm_linger_fire() {
     arm_linger();  // conditions changed: start over
     return;
   }
-  auto frame = cutter_.cut_partial();
-  SCSQ_CHECK(frame.has_value()) << "linger flush with no pending bytes";
+  Frame* frame = cutter_.cut_partial();
+  SCSQ_CHECK(frame != nullptr) << "linger flush with no pending bytes";
   ++linger_generation_;
   // Capacity-1 outbox with size 0 and not closed: cannot fail.
-  SCSQ_CHECK(outbox_.try_send(std::move(*frame))) << "linger flush enqueue failed";
+  SCSQ_CHECK(outbox_.try_send(frame)) << "linger flush enqueue failed";
 }
 
 sim::Task<void> SenderDriver::finish() {
@@ -201,7 +213,8 @@ sim::Task<void> SenderDriver::finish() {
 }
 
 sim::Task<void> SenderDriver::drain() {
-  while (auto frame = co_await outbox_.recv()) {
+  while (auto next = co_await outbox_.recv()) {
+    Frame* frame = *next;
     frame->producer = tag_;
     // Wait for a free send buffer: with a single buffer this serializes
     // marshal and transmit; with two, marshal of frame i+1 overlaps the
@@ -213,7 +226,7 @@ sim::Task<void> SenderDriver::drain() {
                                 params_.marshal_per_byte_s * params_.factor(frame->bytes);
     marshal_seconds_ += marshal_cost;
     co_await cpu_->use(marshal_cost);
-    link_->start_transmit(std::move(*frame), slots_);
+    link_->start_transmit(frame, slots_);
   }
 }
 
@@ -221,33 +234,23 @@ ReceiverDriver::ReceiverDriver(sim::Simulator& sim, DriverParams params, sim::Re
     : sim_(&sim),
       params_(params),
       cpu_(&cpu),
-      inbox_(sim, static_cast<std::size_t>(std::max(params.recv_buffers, 1))) {}
+      inbox_(sim, static_cast<std::size_t>(std::max(params.recv_buffers, 1))) {
+  ready_.reserve(kFrameObjectsReserve);
+}
 
 sim::Task<std::optional<catalog::Object>> ReceiverDriver::next() {
   while (ready_head_ == ready_.size()) {
     if (eos_) co_return std::nullopt;
     const double wait_start = sim_->now();
-    auto frame = co_await inbox_.recv();
+    auto received = co_await inbox_.recv();
     wait_seconds_ += sim_->now() - wait_start;
-    if (!frame) {  // channel force-closed (teardown)
+    if (!received) {  // channel force-closed (teardown)
       eos_ = true;
       co_return std::nullopt;
     }
-    bytes_ += frame->bytes;
-    const double cost =
-        static_cast<double>(frame->bytes) * params_.marshal_per_byte_s *
-            params_.factor(frame->bytes) +
-        static_cast<double>(frame->objects.size()) * params_.alloc_per_object_s;
-    demarshal_seconds_ += cost;
-    co_await cpu_->use(cost);
-    // ready_ is fully drained here: take the frame's object vector
-    // wholesale (O(1) swap) and give the frame our spent one — the two
-    // vectors ping-pong their capacity for the life of the stream.
-    ready_.clear();
-    ready_head_ = 0;
-    std::swap(ready_, frame->objects);
-    if (frame->eos) eos_ = true;
-    if (frame->pool) frame->pool->recycle(std::move(*frame));
+    Frame* frame = *received;
+    co_await cpu_->use(charge(*frame));
+    materialize(frame);
   }
   auto obj = std::move(ready_[ready_head_]);
   ++ready_head_;
@@ -280,26 +283,38 @@ sim::Task<std::size_t> ReceiverDriver::next_batch(catalog::ItemBatch& out,
     // (large arrays spanning many buffers).
     if (delivered > 0 || eos_) break;
     const double wait_start = sim_->now();
-    auto frame = co_await inbox_.recv();
+    auto received = co_await inbox_.recv();
     wait_seconds_ += sim_->now() - wait_start;
-    if (!frame) {  // channel force-closed (teardown)
+    if (!received) {  // channel force-closed (teardown)
       eos_ = true;
       break;
     }
-    bytes_ += frame->bytes;
-    const double cost =
-        static_cast<double>(frame->bytes) * params_.marshal_per_byte_s *
-            params_.factor(frame->bytes) +
-        static_cast<double>(frame->objects.size()) * params_.alloc_per_object_s;
-    demarshal_seconds_ += cost;
-    co_await cpu_->use(cost);
-    ready_.clear();
-    ready_head_ = 0;
-    std::swap(ready_, frame->objects);
-    if (frame->eos) eos_ = true;
-    if (frame->pool) frame->pool->recycle(std::move(*frame));
+    Frame* frame = *received;
+    co_await cpu_->use(charge(*frame));
+    materialize(frame);
   }
   co_return delivered;
+}
+
+double ReceiverDriver::charge(const Frame& frame) {
+  bytes_ += frame.bytes;
+  const double cost =
+      static_cast<double>(frame.bytes) * params_.marshal_per_byte_s *
+          params_.factor(frame.bytes) +
+      static_cast<double>(frame.objects.size()) * params_.alloc_per_object_s;
+  demarshal_seconds_ += cost;
+  return cost;
+}
+
+void ReceiverDriver::materialize(Frame* frame) {
+  // ready_ is fully drained here: take the frame's object vector
+  // wholesale (O(1) swap) and give the frame our spent one — the two
+  // vectors ping-pong their capacity for the life of the stream.
+  ready_.clear();
+  ready_head_ = 0;
+  std::swap(ready_, frame->objects);
+  if (frame->eos) eos_ = true;
+  frame->pool->recycle(frame);
 }
 
 }  // namespace scsq::transport

@@ -46,8 +46,8 @@ struct DriverParams {
   /// simulated idle time, so sparse streams (one aggregate per window)
   /// are delivered promptly. 0 disables (flush only when full / at EOS).
   double linger_s = 10e-3;
-  /// Frame recycling pool (owned by the simulated machine); null = every
-  /// cut frame is a fresh allocation, as in directly-wired test rigs.
+  /// Frame pool every cut frame comes from (owned by the simulated
+  /// machine). Required by SenderDriver.
   FramePool* frame_pool = nullptr;
 
   /// cache_factor(bytes), evaluated only when the size differs from the
@@ -113,6 +113,10 @@ struct LinkStats {
 /// source half claims the completion time of the source NIC and
 /// schedules the destination half at that time, and the window slot
 /// frees one credit latency after delivery (the flow-control round trip).
+///
+/// Frames travel as pool handles (`Frame*`): the link never copies or
+/// moves a frame, and once it has handed a frame to the inbox it does
+/// not touch it again — the receiver may already have recycled it.
 class Link {
  public:
   /// Parameters of a pipelined link. The two skews shift the delivery
@@ -145,7 +149,7 @@ class Link {
   /// slot of `send_slots` (its send-buffer pool) for the frame; the link
   /// releases it when the send buffer becomes reusable. Frames are
   /// delivered to the consumer inbox in start order.
-  void start_transmit(Frame frame, sim::Resource& send_slots);
+  void start_transmit(Frame* frame, sim::Resource& send_slots);
 
   /// Set once the EOS frame has been delivered (safe to tear down).
   sim::Event& drained() { return drained_; }
@@ -177,7 +181,7 @@ class Link {
   /// Sequential links: carries one frame to the inbox, releasing a
   /// `send_slots` slot as soon as the send buffer is reusable. The
   /// default aborts (pipelined links never call it).
-  virtual sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots);
+  virtual sim::Task<void> transmit_one(Frame* frame, sim::Resource& send_slots);
 
   /// Pipelined links, source half: source-side resource holds only.
   /// Implementations claim() their final capacity-1 source resource,
@@ -185,17 +189,18 @@ class Link {
   /// suspending* (the claim and its use() must share one event, so claim
   /// order is grant order), then co_await the actual holds. The default
   /// aborts (sequential links never call it).
-  virtual sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
-                                       double window_wait, bool stalled);
+  virtual sim::Task<void> src_transmit(Frame* frame, sim::Resource& send_slots);
 
   /// Pipelined links, destination half: receive-side resource holds
   /// plus the inbox delivery.
-  virtual sim::Task<void> dst_receive(Frame frame);
+  virtual sim::Task<void> dst_receive(Frame* frame);
 
   /// Schedules the destination half of a pipelined transmit at absolute
-  /// time `at` (the claimed source completion time).
-  void announce_delivery(double at, Frame frame, double t0, double window_wait,
-                         bool stalled);
+  /// time `at` (the claimed source completion time). The callback
+  /// carries only `this` and the frame handle — 16 trivially copyable
+  /// bytes, which std::function stores inline — and the frame carries
+  /// its own window accounting (Frame::queued_at and friends).
+  void announce_delivery(double at, Frame* frame);
 
   /// Called after the EOS frame is delivered; close flows etc.
   virtual void stream_ended() {}
@@ -211,13 +216,13 @@ class Link {
   sim::Simulator& sim() { return *sim_; }
 
  private:
-  sim::Task<void> run(Frame frame, sim::Resource& send_slots);
+  sim::Task<void> run(Frame* frame, sim::Resource& send_slots);
   /// Pipelined source half: window admission, then src_transmit (which
   /// announces the destination half).
-  sim::Task<void> run_pipelined(Frame frame, sim::Resource& send_slots);
+  sim::Task<void> run_pipelined(Frame* frame, sim::Resource& send_slots);
   /// Pipelined destination half: dst_receive, then accounting and the
   /// window credit.
-  sim::Task<void> dst_run(Frame frame, double t0, double window_wait, bool stalled);
+  sim::Task<void> dst_run(Frame* frame);
 
   /// Scalar stats accumulated across a burst of in-flight frames and
   /// applied to stats_/metrics_ in one shot — per-frame delivery used
@@ -291,7 +296,7 @@ class SenderDriver {
   std::uint64_t tag_;
   FrameCutter cutter_;
   sim::Resource slots_;  // send buffers: capacity 1 (single) or 2 (double)
-  sim::Channel<Frame> outbox_;
+  sim::Channel<Frame*> outbox_;
   std::uint64_t linger_generation_ = 0;
   bool drain_started_ = false;
   bool finishing_ = false;
@@ -304,7 +309,7 @@ class ReceiverDriver {
   ReceiverDriver(sim::Simulator& sim, DriverParams params, sim::Resource& cpu);
 
   /// The inbox a Link delivers into.
-  sim::Channel<Frame>& inbox() { return inbox_; }
+  sim::Channel<Frame*>& inbox() { return inbox_; }
 
   /// Next materialized object, or nullopt at end of stream. Charges
   /// de-marshal + allocation cost per received frame.
@@ -337,10 +342,17 @@ class ReceiverDriver {
   double demarshal_seconds() const { return demarshal_seconds_; }
 
  private:
+  /// Books a received frame's bytes and returns its de-marshal +
+  /// allocation CPU cost.
+  double charge(const Frame& frame);
+  /// Takes the frame's objects into ready_ (which must be drained) and
+  /// recycles the frame.
+  void materialize(Frame* frame);
+
   sim::Simulator* sim_;
   DriverParams params_;
   sim::Resource* cpu_;
-  sim::Channel<Frame> inbox_;
+  sim::Channel<Frame*> inbox_;
   // Materialized objects not yet handed to the operators. Vector + head
   // index instead of a deque: a frame's objects arrive as one bulk
   // move, and the storage resets (keeping capacity) whenever drained.

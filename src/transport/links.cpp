@@ -23,7 +23,7 @@ Link::Pipeline tcp_pipeline(hw::Machine& machine) {
 // ---------------------------------------------------------------------
 
 MpiLink::MpiLink(hw::Machine& machine, int src_rank, int dst_rank,
-                 sim::Channel<Frame>& inbox, std::uint64_t source_tag)
+                 sim::Channel<Frame*>& inbox, std::uint64_t source_tag)
     : Link(machine.sim()),
       machine_(&machine),
       dst_(dst_rank),
@@ -50,14 +50,14 @@ std::uint64_t MpiLink::wire_bytes_for(std::uint64_t payload_bytes) const {
          torus.params().packet_bytes;
 }
 
-sim::Task<void> MpiLink::transmit_one(Frame frame, sim::Resource& send_slots) {
+sim::Task<void> MpiLink::transmit_one(Frame* frame, sim::Resource& send_slots) {
   sim::Event freed(sim());
   sim::Event delivered(sim());
-  machine_->bg().torus().transmit_async(path_, frame.bytes, tag_, &freed, &delivered);
+  machine_->bg().torus().transmit_async(path_, frame->bytes, tag_, &freed, &delivered);
   co_await freed.wait();
   send_slots.release();
   co_await delivered.wait();
-  co_await inbox_->send(std::move(frame));
+  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -65,7 +65,7 @@ sim::Task<void> MpiLink::transmit_one(Frame frame, sim::Resource& send_slots) {
 // ---------------------------------------------------------------------
 
 TcpToBgLink::TcpToBgLink(hw::Machine& machine, const hw::Location& src, int dst_rank,
-                         sim::Channel<Frame>& inbox)
+                         sim::Channel<Frame*>& inbox)
     : Link(machine.sim(), tcp_pipeline(machine)),
       machine_(&machine),
       dst_rank_(dst_rank),
@@ -89,31 +89,30 @@ void TcpToBgLink::close_flow() {
   machine_->unregister_bg_inbound(dst_rank_);
 }
 
-sim::Task<void> TcpToBgLink::src_transmit(Frame frame, sim::Resource& send_slots,
-                                          double t0, double window_wait, bool stalled) {
+sim::Task<void> TcpToBgLink::src_transmit(Frame* frame, sim::Resource& send_slots) {
   auto& fabric = machine_->fabric();
-  const double wire = fabric.wire_time(frame.bytes);
+  const double wire = fabric.wire_time(frame->bytes);
   const double tx_time = fabric.params().per_message_overhead_s +
                          wire * fabric.sender_imbalance_factor(src_host_);
   // Claim + announce + use share this event: the claimed completion time
   // is bitwise-identical to the clock after use().
   auto& tx = fabric.tx_nic(src_host_);
   const double t1 = tx.claim(tx_time);
-  announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
+  announce_delivery(t1, frame);
   co_await tx.use(tx_time);
   send_slots.release();
 }
 
-sim::Task<void> TcpToBgLink::dst_receive(Frame frame) {
+sim::Task<void> TcpToBgLink::dst_receive(Frame* frame) {
   co_await machine_->fabric().rx_nic(io_host_).use(
-      machine_->fabric().wire_time(frame.bytes));
+      machine_->fabric().wire_time(frame->bytes));
   // The coordination factors are read per message, from the live flow
   // table, so streams opening and closing during a run are reflected
   // (the Fig. 15 mechanisms).
-  co_await machine_->bg().tree().forward_inbound(pset_, dst_rank_, frame.bytes,
+  co_await machine_->bg().tree().forward_inbound(pset_, dst_rank_, frame->bytes,
                                                  machine_->io_coordination_factor(),
                                                  machine_->compute_mux_factor(dst_rank_));
-  co_await inbox_->send(std::move(frame));
+  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -121,7 +120,7 @@ sim::Task<void> TcpToBgLink::dst_receive(Frame frame) {
 // ---------------------------------------------------------------------
 
 TcpFromBgLink::TcpFromBgLink(hw::Machine& machine, int src_rank, const hw::Location& dst,
-                             sim::Channel<Frame>& inbox)
+                             sim::Channel<Frame*>& inbox)
     : Link(machine.sim(), tcp_pipeline(machine)),
       machine_(&machine),
       src_rank_(src_rank),
@@ -143,28 +142,27 @@ void TcpFromBgLink::close_flow() {
   machine_->fabric().close_flow(flow_);
 }
 
-sim::Task<void> TcpFromBgLink::src_transmit(Frame frame, sim::Resource& send_slots,
-                                            double t0, double window_wait, bool stalled) {
+sim::Task<void> TcpFromBgLink::src_transmit(Frame* frame, sim::Resource& send_slots) {
   // The source half is the whole outbound tree path (compute egress,
   // tree link, I/O CPU) and the I/O node's NIC transmit; the destination
   // half is the destination host's NIC receive.
-  co_await machine_->bg().tree().forward_outbound(pset_, src_rank_, frame.bytes,
+  co_await machine_->bg().tree().forward_outbound(pset_, src_rank_, frame->bytes,
                                                   /*io_factor=*/1.0);
   send_slots.release();
   auto& fabric = machine_->fabric();
-  const double wire = fabric.wire_time(frame.bytes);
+  const double wire = fabric.wire_time(frame->bytes);
   const double tx_time = fabric.params().per_message_overhead_s +
                          wire * fabric.sender_imbalance_factor(io_host_);
   auto& tx = fabric.tx_nic(io_host_);
   const double t1 = tx.claim(tx_time);
-  announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
+  announce_delivery(t1, frame);
   co_await tx.use(tx_time);
 }
 
-sim::Task<void> TcpFromBgLink::dst_receive(Frame frame) {
+sim::Task<void> TcpFromBgLink::dst_receive(Frame* frame) {
   co_await machine_->fabric().rx_nic(dst_host_).use(
-      machine_->fabric().wire_time(frame.bytes));
-  co_await inbox_->send(std::move(frame));
+      machine_->fabric().wire_time(frame->bytes));
+  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -172,7 +170,7 @@ sim::Task<void> TcpFromBgLink::dst_receive(Frame frame) {
 // ---------------------------------------------------------------------
 
 TcpPlainLink::TcpPlainLink(hw::Machine& machine, const hw::Location& src,
-                           const hw::Location& dst, sim::Channel<Frame>& inbox)
+                           const hw::Location& dst, sim::Channel<Frame*>& inbox)
     : Link(machine.sim(), tcp_pipeline(machine)),
       machine_(&machine),
       src_host_(machine.fabric_host_of(src)),
@@ -192,23 +190,22 @@ void TcpPlainLink::close_flow() {
   machine_->fabric().close_flow(flow_);
 }
 
-sim::Task<void> TcpPlainLink::src_transmit(Frame frame, sim::Resource& send_slots,
-                                           double t0, double window_wait, bool stalled) {
+sim::Task<void> TcpPlainLink::src_transmit(Frame* frame, sim::Resource& send_slots) {
   auto& fabric = machine_->fabric();
-  const double wire = fabric.wire_time(frame.bytes);
+  const double wire = fabric.wire_time(frame->bytes);
   const double tx_time = fabric.params().per_message_overhead_s +
                          wire * fabric.sender_imbalance_factor(src_host_);
   auto& tx = fabric.tx_nic(src_host_);
   const double t1 = tx.claim(tx_time);
-  announce_delivery(t1, std::move(frame), t0, window_wait, stalled);
+  announce_delivery(t1, frame);
   co_await tx.use(tx_time);
   send_slots.release();
 }
 
-sim::Task<void> TcpPlainLink::dst_receive(Frame frame) {
+sim::Task<void> TcpPlainLink::dst_receive(Frame* frame) {
   co_await machine_->fabric().rx_nic(dst_host_).use(
-      machine_->fabric().wire_time(frame.bytes));
-  co_await inbox_->send(std::move(frame));
+      machine_->fabric().wire_time(frame->bytes));
+  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -221,13 +218,13 @@ namespace {
 constexpr double kLocalHandoffSeconds = 2.0e-6;
 }  // namespace
 
-LocalLink::LocalLink(hw::Machine& machine, sim::Channel<Frame>& inbox)
+LocalLink::LocalLink(hw::Machine& machine, sim::Channel<Frame*>& inbox)
     : Link(machine.sim()), inbox_(&inbox) {}
 
-sim::Task<void> LocalLink::transmit_one(Frame frame, sim::Resource& send_slots) {
+sim::Task<void> LocalLink::transmit_one(Frame* frame, sim::Resource& send_slots) {
   co_await sim().delay(kLocalHandoffSeconds);
   send_slots.release();
-  co_await inbox_->send(std::move(frame));
+  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -258,7 +255,7 @@ void attach_metrics(Link& link, hw::Machine& machine, const char* type,
 }  // namespace
 
 std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
-                                const hw::Location& dst, sim::Channel<Frame>& inbox,
+                                const hw::Location& dst, sim::Channel<Frame*>& inbox,
                                 std::uint64_t source_tag) {
   const bool src_bg = src.cluster == hw::kBlueGene;
   const bool dst_bg = dst.cluster == hw::kBlueGene;

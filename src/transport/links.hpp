@@ -24,12 +24,12 @@ namespace scsq::transport {
 
 class MpiLink final : public Link {
  public:
-  MpiLink(hw::Machine& machine, int src_rank, int dst_rank, sim::Channel<Frame>& inbox,
+  MpiLink(hw::Machine& machine, int src_rank, int dst_rank, sim::Channel<Frame*>& inbox,
           std::uint64_t source_tag);
   ~MpiLink() override;
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
+  sim::Task<void> transmit_one(Frame* frame, sim::Resource& send_slots) override;
   void stream_ended() override;
   /// Rounds up to full torus packets: a partially filled final packet
   /// still burns a full 1KB slot (the profiler's packetization waste).
@@ -41,7 +41,7 @@ class MpiLink final : public Link {
   hw::Machine* machine_;
   int dst_;
   net::TorusPath path_;  // compiled once; every frame's message reads it
-  sim::Channel<Frame>* inbox_;
+  sim::Channel<Frame*>* inbox_;
   std::uint64_t tag_;
   bool registered_ = false;
 };
@@ -49,13 +49,12 @@ class MpiLink final : public Link {
 class TcpToBgLink final : public Link {
  public:
   TcpToBgLink(hw::Machine& machine, const hw::Location& src, int dst_rank,
-              sim::Channel<Frame>& inbox);
+              sim::Channel<Frame*>& inbox);
   ~TcpToBgLink() override;
 
  protected:
-  sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
-                               double window_wait, bool stalled) override;
-  sim::Task<void> dst_receive(Frame frame) override;
+  sim::Task<void> src_transmit(Frame* frame, sim::Resource& send_slots) override;
+  sim::Task<void> dst_receive(Frame* frame) override;
   void stream_ended() override;
 
  private:
@@ -66,7 +65,7 @@ class TcpToBgLink final : public Link {
   int pset_;
   int src_host_;
   int io_host_;
-  sim::Channel<Frame>* inbox_;
+  sim::Channel<Frame*>* inbox_;
   net::FlowId flow_ = 0;
   bool flow_open_ = false;
 };
@@ -74,13 +73,12 @@ class TcpToBgLink final : public Link {
 class TcpFromBgLink final : public Link {
  public:
   TcpFromBgLink(hw::Machine& machine, int src_rank, const hw::Location& dst,
-                sim::Channel<Frame>& inbox);
+                sim::Channel<Frame*>& inbox);
   ~TcpFromBgLink() override;
 
  protected:
-  sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
-                               double window_wait, bool stalled) override;
-  sim::Task<void> dst_receive(Frame frame) override;
+  sim::Task<void> src_transmit(Frame* frame, sim::Resource& send_slots) override;
+  sim::Task<void> dst_receive(Frame* frame) override;
   void stream_ended() override;
 
  private:
@@ -91,7 +89,7 @@ class TcpFromBgLink final : public Link {
   int pset_;
   int io_host_;
   int dst_host_;
-  sim::Channel<Frame>* inbox_;
+  sim::Channel<Frame*>* inbox_;
   net::FlowId flow_ = 0;
   bool flow_open_ = false;
 };
@@ -99,13 +97,12 @@ class TcpFromBgLink final : public Link {
 class TcpPlainLink final : public Link {
  public:
   TcpPlainLink(hw::Machine& machine, const hw::Location& src, const hw::Location& dst,
-               sim::Channel<Frame>& inbox);
+               sim::Channel<Frame*>& inbox);
   ~TcpPlainLink() override;
 
  protected:
-  sim::Task<void> src_transmit(Frame frame, sim::Resource& send_slots, double t0,
-                               double window_wait, bool stalled) override;
-  sim::Task<void> dst_receive(Frame frame) override;
+  sim::Task<void> src_transmit(Frame* frame, sim::Resource& send_slots) override;
+  sim::Task<void> dst_receive(Frame* frame) override;
   void stream_ended() override;
 
  private:
@@ -114,27 +111,27 @@ class TcpPlainLink final : public Link {
   hw::Machine* machine_;
   int src_host_;
   int dst_host_;
-  sim::Channel<Frame>* inbox_;
+  sim::Channel<Frame*>* inbox_;
   net::FlowId flow_ = 0;
   bool flow_open_ = false;
 };
 
 class LocalLink final : public Link {
  public:
-  LocalLink(hw::Machine& machine, sim::Channel<Frame>& inbox);
+  LocalLink(hw::Machine& machine, sim::Channel<Frame*>& inbox);
 
  protected:
-  sim::Task<void> transmit_one(Frame frame, sim::Resource& send_slots) override;
+  sim::Task<void> transmit_one(Frame* frame, sim::Resource& send_slots) override;
 
  private:
-  sim::Channel<Frame>* inbox_;
+  sim::Channel<Frame*>* inbox_;
 };
 
 /// Builds the appropriate link between two RP locations. `source_tag`
 /// must uniquely identify the producing RP. MPI and local links are
 /// sequential; every TCP link is pipelined (see Link).
 std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
-                                const hw::Location& dst, sim::Channel<Frame>& inbox,
+                                const hw::Location& dst, sim::Channel<Frame*>& inbox,
                                 std::uint64_t source_tag);
 
 }  // namespace scsq::transport

@@ -288,16 +288,17 @@ TEST(ItemBatchTest, RecyclesSlotsAcrossResets) {
 // Frame-granular receive batching
 // ---------------------------------------------------------------------
 
-sim::Task<void> feed_two_frames(sim::Channel<transport::Frame>& inbox) {
-  transport::Frame f1;
-  for (int i = 0; i < 3; ++i) f1.objects.emplace_back(std::int64_t{i});
-  f1.bytes = 27;
-  co_await inbox.send(std::move(f1));
-  transport::Frame f2;
-  for (int i = 3; i < 5; ++i) f2.objects.emplace_back(std::int64_t{i});
-  f2.bytes = 18;
-  f2.eos = true;
-  co_await inbox.send(std::move(f2));
+sim::Task<void> feed_two_frames(sim::Channel<transport::Frame*>& inbox,
+                                transport::FramePool& pool) {
+  transport::Frame* f1 = pool.acquire();
+  for (int i = 0; i < 3; ++i) f1->objects.emplace_back(std::int64_t{i});
+  f1->bytes = 27;
+  co_await inbox.send(f1);
+  transport::Frame* f2 = pool.acquire();
+  for (int i = 3; i < 5; ++i) f2->objects.emplace_back(std::int64_t{i});
+  f2->bytes = 18;
+  f2->eos = true;
+  co_await inbox.send(f2);
 }
 
 TEST(ReceiveBatching, NeverCrossesFrameBoundaries) {
@@ -306,8 +307,9 @@ TEST(ReceiveBatching, NeverCrossesFrameBoundaries) {
   // backpressure before the per-item path would), then 2 with EOS.
   sim::Simulator sim;
   sim::Resource cpu(sim, 1, "cpu");
+  transport::FramePool pool;
   transport::ReceiverDriver driver(sim, transport::DriverParams{}, cpu);
-  sim.spawn(feed_two_frames(driver.inbox()));
+  sim.spawn(feed_two_frames(driver.inbox(), pool));
   std::vector<std::size_t> batch_sizes;
   bool exhausted_at_end = false;
   sim.spawn([](transport::ReceiverDriver& drv, std::vector<std::size_t>& sizes,
@@ -327,6 +329,7 @@ TEST(ReceiveBatching, NeverCrossesFrameBoundaries) {
   EXPECT_EQ(batch_sizes[0], 3u);
   EXPECT_EQ(batch_sizes[1], 2u);
   EXPECT_TRUE(exhausted_at_end);
+  EXPECT_EQ(pool.recycled(), 2u);  // the receiver recycled both handles
 }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "net/ethernet.hpp"
 #include "net/topology.hpp"
 #include "net/torus_net.hpp"
@@ -329,6 +331,85 @@ TEST(Ethernet, ImbalanceFactorDetectsUnevenLoad) {
   for (int i = 0; i < 4; ++i) ios.push_back(fab.add_host("io" + std::to_string(i), true));
   for (int i = 0; i < 5; ++i) fab.open_flow(be, ios[i % 4]);
   EXPECT_DOUBLE_EQ(fab.sender_imbalance_factor(be), 1.0 + p.imbalance_coeff);
+}
+
+TEST(Ethernet, FlowAggregatesMatchRecomputationAfterEveryChange) {
+  // Both aggregates are memoized per flow-table change. After every
+  // random open or close, each must equal a recomputation from this
+  // test's own list of open flows. Flows run among back-end, front-end
+  // and I/O-node hosts in both directions, and often repeat one pair,
+  // as Fig. 15 Query 1 opens several streams from one back-end node
+  // into one pset.
+  sim::Simulator sim;
+  EthernetParams p;
+  EthernetFabric fab(sim, p);
+  std::vector<bool> is_ionode;
+  for (const char* name : {"be0", "be1", "be2", "fe0", "fe1"}) {
+    fab.add_host(name);
+    is_ionode.push_back(false);
+  }
+  for (const char* name : {"io0", "io1", "io2", "io3"}) {
+    fab.add_host(name, /*is_ionode=*/true);
+    is_ionode.push_back(true);
+  }
+  const int hosts = fab.host_count();
+  struct OpenFlow {
+    FlowId id;
+    int src;
+    int dst;
+  };
+  std::vector<OpenFlow> open;
+  auto expect_aggregates_exact = [&](int step) {
+    std::set<int> senders;
+    std::vector<int> inbound(static_cast<std::size_t>(hosts), 0);
+    for (const auto& f : open) {
+      if (is_ionode[static_cast<std::size_t>(f.dst)]) senders.insert(f.src);
+      inbound[static_cast<std::size_t>(f.dst)] += 1;
+    }
+    EXPECT_EQ(fab.distinct_senders_to_ionodes(), static_cast<int>(senders.size()))
+        << "step " << step;
+    for (int h = 0; h < hosts; ++h) {
+      std::set<int> dsts;
+      for (const auto& f : open) {
+        if (f.src == h) dsts.insert(f.dst);
+      }
+      double expected = 1.0;
+      if (dsts.size() >= 2) {
+        int lo = INT32_MAX, hi = 0;
+        for (int d : dsts) {
+          lo = std::min(lo, inbound[static_cast<std::size_t>(d)]);
+          hi = std::max(hi, inbound[static_cast<std::size_t>(d)]);
+        }
+        expected = 1.0 + p.imbalance_coeff * static_cast<double>(hi - lo);
+      }
+      EXPECT_EQ(fab.sender_imbalance_factor(h), expected) << "step " << step << ", host " << h;
+    }
+  };
+  util::Rng rng(15);
+  for (int step = 0; step < 600; ++step) {
+    // Closes get likelier as the table fills, so it keeps churning.
+    const bool close =
+        !open.empty() && rng.uniform_int(0, 2) < (open.size() > 16 ? 2 : 1);
+    if (close) {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1));
+      fab.close_flow(open[i].id);
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (!open.empty() && rng.uniform_int(0, 2) == 0) {
+      // Another flow between a pair that already has one.
+      const auto& twin = open[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(open.size()) - 1))];
+      const int src = twin.src;
+      const int dst = twin.dst;
+      open.push_back({fab.open_flow(src, dst), src, dst});
+    } else {
+      const int src = static_cast<int>(rng.uniform_int(0, hosts - 1));
+      int dst = static_cast<int>(rng.uniform_int(0, hosts - 2));
+      if (dst >= src) ++dst;
+      open.push_back({fab.open_flow(src, dst), src, dst});
+    }
+    expect_aggregates_exact(step);
+  }
 }
 
 TEST(Ethernet, NicContentionSharesBandwidth) {

@@ -187,7 +187,8 @@ class CutterSeed : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(CutterSeed, ConservesBytesAndObjects) {
   util::Rng rng(GetParam());
   const std::uint64_t buffer = static_cast<std::uint64_t>(rng.uniform_int(1, 10'000));
-  transport::FrameCutter cutter(buffer);
+  transport::FramePool pool;
+  transport::FrameCutter cutter(buffer, pool);
   std::uint64_t pushed_bytes = 0;
   std::size_t pushed_objects = 0;
   std::uint64_t frame_bytes = 0;
@@ -200,17 +201,17 @@ TEST_P(CutterSeed, ConservesBytesAndObjects) {
     pushed_objects += 1;
     cutter.push(std::move(obj));
     while (cutter.has_full()) {  // cut one frame at a time, as the sender does
-      const transport::Frame f = cutter.cut_full();
-      frame_bytes += f.bytes;
-      frame_objects += f.objects.size();
-      max_frame = std::max(max_frame, f.bytes);
-      EXPECT_EQ(f.bytes, buffer);  // all non-final frames are full
+      const transport::Frame* f = cutter.cut_full();
+      frame_bytes += f->bytes;
+      frame_objects += f->objects.size();
+      max_frame = std::max(max_frame, f->bytes);
+      EXPECT_EQ(f->bytes, buffer);  // all non-final frames are full
     }
   }
-  auto last = cutter.finish();
-  frame_bytes += last.bytes;
-  frame_objects += last.objects.size();
-  EXPECT_TRUE(last.eos);
+  const transport::Frame* last = cutter.finish();
+  frame_bytes += last->bytes;
+  frame_objects += last->objects.size();
+  EXPECT_TRUE(last->eos);
   EXPECT_EQ(frame_bytes, pushed_bytes);
   EXPECT_EQ(frame_objects, pushed_objects);
   EXPECT_LE(max_frame, buffer);

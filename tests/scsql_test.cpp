@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/scsq.hpp"
 #include "scsql/lexer.hpp"
 #include "scsql/parser.hpp"
 
@@ -156,6 +159,45 @@ TEST(Parser, ErrorsCarryPosition) {
 TEST(Parser, RejectsDanglingInput) {
   EXPECT_THROW(parse_expression("1 2"), Error);
   EXPECT_THROW(parse_statement("select 1; select 2;"), Error);
+}
+
+// `select ` + `depth` copies of `open`, a leaf, then every closing `)`.
+std::string nested_query(const std::string& open, int depth, const std::string& leaf) {
+  std::string q = "select ";
+  for (int i = 0; i < depth; ++i) q += open;
+  q += leaf;
+  q += std::string(static_cast<std::size_t>(depth), ')');
+  return q + ";";
+}
+
+TEST(Parser, DeepNestingIsAnErrorNotAStackOverflow) {
+  // These crashed the shell with SIGSEGV before the parser counted depth.
+  for (const auto& [open, depth] : {std::pair<std::string, int>{"(", 20'000},
+                                    {"abs(", 10'000},
+                                    {"1+(", 10'000}}) {
+    SCOPED_TRACE(open);
+    try {
+      parse_script(nested_query(open, depth, "1"));
+      FAIL() << "expected a nesting-depth error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("nested deeper than 1000 levels"),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.pos().line, 1);
+      EXPECT_GT(e.pos().column, 1000);  // at the first level past the limit
+    }
+  }
+  EXPECT_THROW(parse_expression(std::string(20'000, '-') + "1"), Error);
+}
+
+TEST(Parser, QueryNested500DeepParsesAndRuns) {
+  Scsq scsq;
+  auto report = scsq.run(nested_query("1+(", 500, "0"));
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_EQ(report.results[0].as_int(), 500);
+  report = scsq.run(nested_query("abs(", 500, "-7.5"));
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_EQ(report.results[0].as_real(), 7.5);
 }
 
 // ---------------------------------------------------------------------

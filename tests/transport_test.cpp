@@ -273,98 +273,116 @@ TEST(MarshalProperty, FuzzAllPaths) {
 
 // Adapter for the lazy-cut API: push one object, then cut every frame
 // that became full — what the sender driver does, one send per cut.
-std::vector<Frame> push_all(FrameCutter& cutter, Object obj) {
-  std::vector<Frame> out;
+std::vector<Frame*> push_all(FrameCutter& cutter, Object obj) {
+  std::vector<Frame*> out;
   cutter.push(std::move(obj));
   while (cutter.has_full()) out.push_back(cutter.cut_full());
   return out;
 }
 
 TEST(FrameCutter, SmallObjectsAccumulate) {
-  FrameCutter cutter(100);
+  FramePool pool;
+  FrameCutter cutter(100, pool);
   // Int marshals to 9 bytes; 11 of them cross the 100-byte boundary.
-  std::vector<Frame> frames;
+  std::vector<Frame*> frames;
   for (int i = 0; i < 11; ++i) {
-    auto out = push_all(cutter, Object{i});
-    for (auto& f : out) frames.push_back(std::move(f));
+    for (Frame* f : push_all(cutter, Object{i})) frames.push_back(f);
   }
   ASSERT_EQ(frames.size(), 0u);  // 99 bytes after 11 pushes
   auto out = push_all(cutter, Object{11});
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].bytes, 100u);
+  EXPECT_EQ(out[0]->bytes, 100u);
   // 11 objects end within the first 100 bytes (11*9=99); the 12th ends
   // at byte 108, beyond this frame.
-  EXPECT_EQ(out[0].objects.size(), 11u);
+  EXPECT_EQ(out[0]->objects.size(), 11u);
 }
 
 TEST(FrameCutter, LargeObjectSpansManyFrames) {
-  FrameCutter cutter(1000);
+  FramePool pool;
+  FrameCutter cutter(1000, pool);
   Object big{SynthArray{10'000, 1}};  // marshals to 10'017 simulated bytes
   auto frames = push_all(cutter, big);
   ASSERT_EQ(frames.size(), 10u);
   for (int i = 0; i < 9; ++i) {
-    EXPECT_EQ(frames[static_cast<std::size_t>(i)].bytes, 1000u);
-    EXPECT_TRUE(frames[static_cast<std::size_t>(i)].objects.empty());
+    EXPECT_EQ(frames[static_cast<std::size_t>(i)]->bytes, 1000u);
+    EXPECT_TRUE(frames[static_cast<std::size_t>(i)]->objects.empty());
   }
   // The object's last byte lands in frame 10 (bytes 9000..9999 < 10017):
   // not yet complete there either.
-  EXPECT_TRUE(frames[9].objects.empty());
-  Frame last = cutter.finish();
-  EXPECT_TRUE(last.eos);
-  EXPECT_EQ(last.bytes, 17u);
-  ASSERT_EQ(last.objects.size(), 1u);
-  EXPECT_EQ(last.objects[0], big);
+  EXPECT_TRUE(frames[9]->objects.empty());
+  Frame* last = cutter.finish();
+  EXPECT_TRUE(last->eos);
+  EXPECT_EQ(last->bytes, 17u);
+  ASSERT_EQ(last->objects.size(), 1u);
+  EXPECT_EQ(last->objects[0], big);
 }
 
 TEST(FrameCutter, FinishOnEmptyStream) {
-  FrameCutter cutter(512);
-  Frame f = cutter.finish();
-  EXPECT_TRUE(f.eos);
-  EXPECT_EQ(f.bytes, 0u);
-  EXPECT_TRUE(f.objects.empty());
+  FramePool pool;
+  FrameCutter cutter(512, pool);
+  Frame* f = cutter.finish();
+  EXPECT_TRUE(f->eos);
+  EXPECT_EQ(f->bytes, 0u);
+  EXPECT_TRUE(f->objects.empty());
 }
 
 TEST(FrameCutter, ByteConservation) {
   util::Rng rng(7);
-  FrameCutter cutter(777);
+  FramePool pool;
+  FrameCutter cutter(777, pool);
   std::uint64_t total_emitted = 0;
   std::size_t objects_out = 0;
   std::uint64_t pushed = 0;
   for (int i = 0; i < 100; ++i) {
     Object o{SynthArray{static_cast<std::uint64_t>(rng.uniform_int(0, 4000)), 0}};
     pushed += o.marshaled_size();
-    for (auto& f : push_all(cutter, std::move(o))) {
-      total_emitted += f.bytes;
-      objects_out += f.objects.size();
+    for (Frame* f : push_all(cutter, std::move(o))) {
+      total_emitted += f->bytes;
+      objects_out += f->objects.size();
     }
   }
-  Frame last = cutter.finish();
-  total_emitted += last.bytes;
-  objects_out += last.objects.size();
+  Frame* last = cutter.finish();
+  total_emitted += last->bytes;
+  objects_out += last->objects.size();
   EXPECT_EQ(total_emitted, pushed);
   EXPECT_EQ(objects_out, 100u);
   EXPECT_EQ(cutter.total_pushed_bytes(), pushed);
 }
 
 TEST(FrameCutter, ExactFit) {
-  FrameCutter cutter(9);  // exactly one marshaled int
+  FramePool pool;
+  FrameCutter cutter(9, pool);  // exactly one marshaled int
   auto frames = push_all(cutter, Object{5});
   ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].bytes, 9u);
-  ASSERT_EQ(frames[0].objects.size(), 1u);
-  Frame last = cutter.finish();
-  EXPECT_EQ(last.bytes, 0u);
+  EXPECT_EQ(frames[0]->bytes, 9u);
+  ASSERT_EQ(frames[0]->objects.size(), 1u);
+  Frame* last = cutter.finish();
+  EXPECT_EQ(last->bytes, 0u);
 }
 
 TEST(FrameCutter, SequenceNumbersIncrease) {
-  FrameCutter cutter(9);
+  FramePool pool;
+  FrameCutter cutter(9, pool);
   std::uint64_t expected = 0;
   for (int i = 0; i < 5; ++i) {
     auto frames = push_all(cutter, Object{i});
     ASSERT_EQ(frames.size(), 1u);
-    EXPECT_EQ(frames[0].seq, expected++);
+    EXPECT_EQ(frames[0]->seq, expected++);
   }
-  EXPECT_EQ(cutter.finish().seq, expected);
+  EXPECT_EQ(cutter.finish()->seq, expected);
+}
+
+TEST(FrameCutter, PartialCutIsNullWhenNothingPending) {
+  FramePool pool;
+  FrameCutter cutter(100, pool);
+  EXPECT_EQ(cutter.cut_partial(), nullptr);
+  cutter.push(Object{1});
+  Frame* f = cutter.cut_partial();
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->bytes, 9u);
+  EXPECT_FALSE(f->eos);
+  ASSERT_EQ(f->objects.size(), 1u);
+  EXPECT_EQ(cutter.cut_partial(), nullptr);
 }
 
 // ---------------------------------------------------------------------
@@ -373,23 +391,24 @@ TEST(FrameCutter, SequenceNumbersIncrease) {
 
 TEST(FramePool, RecycledFrameDoesNotLeakState) {
   FramePool pool;
-  Frame f = pool.acquire();
-  f.bytes = 999;
-  f.eos = true;
-  f.producer = 5;
-  f.seq = 42;
-  f.objects.emplace_back(std::int64_t{7});
-  f.objects.emplace_back(std::string("stale payload"));
-  pool.recycle(std::move(f));
+  Frame* f = pool.acquire();
+  f->bytes = 999;
+  f->eos = true;
+  f->producer = 5;
+  f->seq = 42;
+  f->objects.emplace_back(std::int64_t{7});
+  f->objects.emplace_back(std::string("stale payload"));
+  pool.recycle(f);
 
-  Frame g = pool.acquire();
-  EXPECT_EQ(g.bytes, 0u);
-  EXPECT_TRUE(g.objects.empty());
-  EXPECT_FALSE(g.eos);
-  EXPECT_EQ(g.producer, 0u);
-  EXPECT_EQ(g.seq, 0u);
-  EXPECT_EQ(g.pool, &pool);
-  EXPECT_GE(g.objects.capacity(), 2u);  // capacity survives the recycle
+  Frame* g = pool.acquire();
+  EXPECT_EQ(g, f);  // the free list hands the same frame back out
+  EXPECT_EQ(g->bytes, 0u);
+  EXPECT_TRUE(g->objects.empty());
+  EXPECT_FALSE(g->eos);
+  EXPECT_EQ(g->producer, 0u);
+  EXPECT_EQ(g->seq, 0u);
+  EXPECT_EQ(g->pool, &pool);
+  EXPECT_GE(g->objects.capacity(), 2u);  // capacity survives the recycle
   EXPECT_EQ(pool.acquired(), 2u);
   EXPECT_EQ(pool.reused(), 1u);
   EXPECT_EQ(pool.recycled(), 1u);
@@ -401,20 +420,20 @@ TEST(FramePool, CutterStreamsFromRecycledPoolStayClean) {
   // the second stream may inherit eos, bytes, or leftover objects.
   FramePool pool;
   {
-    FrameCutter cutter(10, &pool);
+    FrameCutter cutter(10, pool);
     auto frames = push_all(cutter, Object{std::string("0123456789abcdef")});
-    Frame last = cutter.finish();
-    EXPECT_TRUE(last.eos);
-    pool.recycle(std::move(last));
-    for (auto& f : frames) pool.recycle(std::move(f));
+    Frame* last = cutter.finish();
+    EXPECT_TRUE(last->eos);
+    pool.recycle(last);
+    for (Frame* f : frames) pool.recycle(f);
   }
-  FrameCutter cutter(10, &pool);
+  FrameCutter cutter(10, pool);
   auto frames = push_all(cutter, Object{std::string("fresh stream bytes")});
   ASSERT_FALSE(frames.empty());
   EXPECT_GT(pool.reused(), 0u);
-  for (const auto& f : frames) {
-    EXPECT_FALSE(f.eos);
-    EXPECT_LE(f.objects.size(), 1u);
+  for (const Frame* f : frames) {
+    EXPECT_FALSE(f->eos);
+    EXPECT_LE(f->objects.size(), 1u);
   }
 }
 
@@ -427,7 +446,7 @@ TEST(FramePool, SteadyStateSynthStreamConstructsNoNewFrames) {
   // already runs on a single frame.
   FramePool pool;
   auto run_stream = [&] {
-    FrameCutter cutter(1000, &pool);
+    FrameCutter cutter(1000, pool);
     for (int i = 0; i < 8; ++i) {
       cutter.push(Object{SynthArray{100'000, static_cast<std::uint64_t>(i)}});
       while (cutter.has_full()) pool.recycle(cutter.cut_full());
@@ -443,6 +462,16 @@ TEST(FramePool, SteadyStateSynthStreamConstructsNoNewFrames) {
       << "second stream constructed fresh frames — pool recycling broke";
 }
 
+TEST(FramePool, DoubleRecycleAborts) {
+  // Frames travel as raw handles: a frame recycled twice would sit on the
+  // free list twice and be handed to two streams at once. Nothing is
+  // freed, so AddressSanitizer cannot see it; the pool must.
+  FramePool pool;
+  Frame* f = pool.acquire();
+  pool.recycle(f);
+  EXPECT_DEATH(pool.recycle(f), "recycled twice");
+}
+
 // ---------------------------------------------------------------------
 // Drivers over links (end-to-end transport)
 // ---------------------------------------------------------------------
@@ -454,12 +483,11 @@ struct Pipe {
   std::unique_ptr<ReceiverDriver> rx;
   std::unique_ptr<SenderDriver> tx;
 
-  /// `pooled`: cut frames from the machine's FramePool, as the engine does.
-  Pipe(hw::Location src, hw::Location dst, std::uint64_t buffer_bytes, int send_buffers,
-       bool pooled = false) {
+  /// Frames are cut from the machine's FramePool, as the engine does.
+  Pipe(hw::Location src, hw::Location dst, std::uint64_t buffer_bytes, int send_buffers) {
     params.buffer_bytes = buffer_bytes;
     params.send_buffers = send_buffers;
-    if (pooled) params.frame_pool = &machine.frame_pool();
+    params.frame_pool = &machine.frame_pool();
     rx = std::make_unique<ReceiverDriver>(sim, params, machine.cpu_of(dst));
     auto link = make_link(machine, src, dst, rx->inbox(), /*source_tag=*/1);
     tx = std::make_unique<SenderDriver>(sim, params, machine.cpu_of(src), std::move(link), 1);
@@ -625,12 +653,13 @@ TEST(Drivers, LingerPreservesOrderWithLaterPushes) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)].as_int(), i + 1);
 }
 
-// Global operator new calls while one MPI pipe streams 30 KB
-// SynthArrays over 1000-byte buffers (31 frames, so 31 torus messages,
-// per array): `warmup` arrays first, then `arrays` more — only the
-// second stretch is counted.
-std::uint64_t new_calls_after_warmup(int warmup, int arrays) {
-  Pipe p({"bg", 1}, {"bg", 0}, 1000, 2, /*pooled=*/true);
+// Global operator new calls while one pipe from `src` to `dst` streams
+// 30 KB SynthArrays over 1000-byte buffers (31 frames per array):
+// `warmup` arrays first, then `arrays` more — only the second stretch
+// is counted.
+std::uint64_t new_calls_after_warmup(const hw::Location& src, const hw::Location& dst,
+                                     int warmup, int arrays) {
+  Pipe p(src, dst, 1000, 2);
   std::uint64_t start = 0;
   std::uint64_t end = 0;
   std::size_t received = 0;
@@ -659,10 +688,35 @@ TEST(Drivers, SteadyStateMpiStreamAllocatesNothingPerFrame) {
   // the frame count.
   constexpr int kWarmup = 100;
   constexpr int kArrays = 50;
-  const std::uint64_t n = new_calls_after_warmup(kWarmup, kArrays);
-  const std::uint64_t two_n = new_calls_after_warmup(kWarmup, 2 * kArrays);
+  const hw::Location src{"bg", 1};
+  const hw::Location dst{"bg", 0};
+  const std::uint64_t n = new_calls_after_warmup(src, dst, kWarmup, kArrays);
+  const std::uint64_t two_n = new_calls_after_warmup(src, dst, kWarmup, 2 * kArrays);
   EXPECT_EQ(two_n, n) << "operator new calls grow with the frame count: " << n << " for "
                       << kArrays * 31 << " frames, " << two_n << " for " << 2 * kArrays * 31;
+}
+
+TEST(Drivers, SteadyStateTcpStreamAllocatesNothingPerFrame) {
+  // The same rule on every pipelined TCP link: the frame reaches its
+  // destination half through a call_at whose closure is only the link
+  // and the frame handle (stored inline by std::function), and the flow
+  // aggregates the NIC and I/O-node costs read per frame are memoized
+  // per flow-table change.
+  constexpr int kWarmup = 100;
+  constexpr int kArrays = 50;
+  const std::pair<hw::Location, hw::Location> pipes[] = {
+      {{"be", 0}, {"bg", 3}},  // TcpToBgLink
+      {{"bg", 2}, {"fe", 0}},  // TcpFromBgLink
+      {{"be", 0}, {"fe", 1}},  // TcpPlainLink
+  };
+  for (const auto& [src, dst] : pipes) {
+    SCOPED_TRACE(src.to_string() + " -> " + dst.to_string());
+    const std::uint64_t n = new_calls_after_warmup(src, dst, kWarmup, kArrays);
+    const std::uint64_t two_n = new_calls_after_warmup(src, dst, kWarmup, 2 * kArrays);
+    EXPECT_EQ(two_n, n) << "operator new calls grow with the frame count: " << n
+                        << " for " << kArrays * 31 << " frames, " << two_n << " for "
+                        << 2 * kArrays * 31;
+  }
 }
 
 TEST(Drivers, BackpressureBoundsInbox) {

@@ -211,7 +211,8 @@ if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/nu
   cmake -B "$BUILD-asan" -S . -DSCSQ_ASAN=ON > /dev/null
   cmake --build "$BUILD-asan" -j"$(nproc)" \
     --target transport_test monitor_test bench_kernels \
-    sim_queue_fuzz_test properties_test sim_test net_test bench_fig8_merge > /dev/null
+    sim_queue_fuzz_test properties_test sim_test net_test bench_fig8_merge \
+    bench_fig15_inbound features_test > /dev/null
   "$BUILD-asan/tests/transport_test"
   # Resource::use() parks its caller directly (no coroutine frame) unless
   # it must queue, and torus messages run on compiled paths that the
@@ -222,6 +223,13 @@ if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/nu
   # compiled paths) and contends for it (the queued use() path); its
   # quick table must still match the golden copy.
   tests/golden/check.sh "$BUILD-asan/bench/bench_fig8_merge" tests/golden/fig8_merge.txt
+  # Fig. 15 is the one run where pipelined TCP links, their delivery
+  # callbacks (which carry raw pool-owned frame handles) and the pool
+  # meet; its quick table must match the golden copy too.
+  tests/golden/check.sh "$BUILD-asan/bench/bench_fig15_inbound" tests/golden/fig15_inbound.txt
+  # Stopped queries drop in-flight frames on closed inboxes; the pool
+  # keeps owning them, so teardown must stay clean under LeakSanitizer.
+  "$BUILD-asan/tests/features_test" --gtest_filter='Stop.*'
   # Ladder-queue differential fuzz + the zero-alloc frame-pool property
   # under ASAN/LSAN: rung/bottom recycling and coroutine-frame reuse must
   # be clean (no use-after-recycle, no leaked chunks at exit).
