@@ -206,7 +206,7 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 BENCHMARK(BM_SimulatorEventThroughput);
 
 // Heap path: 256 concurrent timers with staggered deadlines keep the
-// binary heap ~256 deep, measuring sift-up/down cost per event.
+// event heap ~256 deep, measuring sift-up/down cost per event.
 void BM_EventQueueHeapChurn(benchmark::State& state) {
   constexpr int kTimers = 256;
   constexpr int kRounds = 64;
@@ -293,19 +293,16 @@ void BM_CallAtCallback(benchmark::State& state) {
 }
 BENCHMARK(BM_CallAtCallback);
 
-// Pending-event-set shootout: the same self-rearming timer workload
-// driven through the ladder queue (default) and the binary-heap
-// reference, across arrival distributions that stress different ladder
-// machinery. ~1k outstanding timers; each firing re-arms until the
-// event budget per iteration is spent. The Simulator is reset() between
-// iterations rather than reconstructed, so warm rung/bucket/slab
-// storage is reused — the steady state this kernel is tuned for.
-//  * uniform      delays spread over three decades: rung spreads stay
-//                 balanced (calendar-queue home turf).
-//  * spike        delays clustered at one far point with 1us jitter:
-//                 dense same-bucket cohorts, the respread path.
-//  * bimodal      short/long mixture: bottom inserts race far-future
-//                 top parks.
+// Deep pending-event set: a self-rearming timer workload across arrival
+// distributions of different shapes. ~1k outstanding timers; each firing
+// re-arms until the event budget per iteration is spent. The Simulator
+// is reset() between iterations rather than reconstructed, so the warm
+// heap and slab storage is reused. The figure workloads never keep more
+// than a few dozen timed events pending; these rows show the heap's
+// cost at depths they do not reach.
+//  * uniform      delays spread over three decades.
+//  * spike        delays clustered at one far point with 1us jitter.
+//  * bimodal      short/long mixture: near events race far-future parks.
 //  * cancel_heavy every firing arms two timers and cancels one pending
 //                 one: exercises cancelled-node consumption + slab churn.
 struct EventQueueBenchDriver {
@@ -353,10 +350,10 @@ struct EventQueueBenchDriver {
   }
 };
 
-void BM_EventQueue(benchmark::State& state, int dist, scsq::sim::EventQueue::Mode mode) {
+void BM_EventQueue(benchmark::State& state, int dist) {
   constexpr int kPopulation = 1024;
   constexpr int kEventsPerIter = 50'000;
-  scsq::sim::Simulator sim(mode);
+  scsq::sim::Simulator sim;
   std::uint64_t fired_total = 0;
   for (auto _ : state) {
     sim.reset();
@@ -368,14 +365,10 @@ void BM_EventQueue(benchmark::State& state, int dist, scsq::sim::EventQueue::Mod
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(fired_total));
 }
-BENCHMARK_CAPTURE(BM_EventQueue, uniform, 0, scsq::sim::EventQueue::Mode::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueue, spike, 1, scsq::sim::EventQueue::Mode::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueue, bimodal, 2, scsq::sim::EventQueue::Mode::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueue, cancel_heavy, 3, scsq::sim::EventQueue::Mode::kLadder);
-BENCHMARK_CAPTURE(BM_EventQueue, uniform_heap, 0, scsq::sim::EventQueue::Mode::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueue, spike_heap, 1, scsq::sim::EventQueue::Mode::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueue, bimodal_heap, 2, scsq::sim::EventQueue::Mode::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueue, cancel_heavy_heap, 3, scsq::sim::EventQueue::Mode::kHeap);
+BENCHMARK_CAPTURE(BM_EventQueue, uniform, 0);
+BENCHMARK_CAPTURE(BM_EventQueue, spike, 1);
+BENCHMARK_CAPTURE(BM_EventQueue, bimodal, 2);
+BENCHMARK_CAPTURE(BM_EventQueue, cancel_heavy, 3);
 
 // ---------------------------------------------------------------------
 // Batch-at-a-time SQEP execution. These measure the host-side cost per

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <stdexcept>
 
 #include "sim/trace.hpp"
 
@@ -18,7 +19,6 @@ namespace {
 std::atomic<std::uint64_t> g_sim_events{0};
 std::atomic<std::uint64_t> g_wakeups{0};
 std::atomic<std::uint64_t> g_peak_queue_depth{0};
-std::atomic<std::uint64_t> g_rung_spills{0};
 std::atomic<std::uint64_t> g_cancel_consumed{0};
 std::chrono::steady_clock::time_point g_harness_start;
 
@@ -43,7 +43,14 @@ void append_json_escaped(std::string& out, std::string_view s) {
 
 bool quick_mode() { return std::getenv("SCSQ_BENCH_QUICK") != nullptr; }
 
-unsigned bench_threads() { return util::ThreadPool::default_threads(); }
+unsigned bench_threads() {
+  try {
+    return util::ThreadPool::default_threads();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
+  }
+}
 
 int arrays_for_buffer(std::uint64_t buffer_bytes) {
   const int full = quick_mode() ? 10 : kFullArrays;
@@ -127,7 +134,6 @@ void harness_count_events(std::uint64_t events) {
 void harness_count_perf(const sim::PerfCounters& perf) {
   g_sim_events.fetch_add(perf.events_dispatched, std::memory_order_relaxed);
   g_wakeups.fetch_add(perf.wakeups, std::memory_order_relaxed);
-  g_rung_spills.fetch_add(perf.rung_spills, std::memory_order_relaxed);
   g_cancel_consumed.fetch_add(perf.cancel_consumed, std::memory_order_relaxed);
   // Running max (no fetch_max before C++26): CAS until ours is not larger.
   std::uint64_t seen = g_peak_queue_depth.load(std::memory_order_relaxed);
@@ -141,7 +147,6 @@ void harness_begin() {
   g_sim_events.store(0, std::memory_order_relaxed);
   g_wakeups.store(0, std::memory_order_relaxed);
   g_peak_queue_depth.store(0, std::memory_order_relaxed);
-  g_rung_spills.store(0, std::memory_order_relaxed);
   g_cancel_consumed.store(0, std::memory_order_relaxed);
   g_harness_start = std::chrono::steady_clock::now();
 }
@@ -154,7 +159,7 @@ void harness_end(std::size_t points) {
   std::fprintf(stderr,
                "[harness] %zu sweep points on %u thread(s): "
                "%.2f s wall, %llu simulated events, %.2fM events/s, "
-               "peak queue depth %llu, %llu wakeups, %llu rung spills, "
+               "peak queue depth %llu, %llu wakeups, "
                "%llu cancelled timers\n",
                points, bench_threads(), wall_s,
                static_cast<unsigned long long>(events),
@@ -162,7 +167,6 @@ void harness_end(std::size_t points) {
                static_cast<unsigned long long>(
                    g_peak_queue_depth.load(std::memory_order_relaxed)),
                static_cast<unsigned long long>(g_wakeups.load(std::memory_order_relaxed)),
-               static_cast<unsigned long long>(g_rung_spills.load(std::memory_order_relaxed)),
                static_cast<unsigned long long>(
                    g_cancel_consumed.load(std::memory_order_relaxed)));
 }
@@ -326,6 +330,7 @@ std::string inbound_query(int query_no, int n, std::uint64_t array_bytes, int ar
 }
 
 void print_banner(const char* figure, const char* what) {
+  (void)bench_threads();  // a bad SCSQ_BENCH_THREADS stops the bench here
   std::printf("=====================================================================\n");
   std::printf("SCSQ reproduction — %s: %s\n", figure, what);
   std::printf("Methodology: bandwidth = payload bytes / simulated query time;\n");

@@ -42,6 +42,8 @@ inline constexpr int kRepetitions = 5;                   // paper: five runs
 bool quick_mode();
 
 /// Sweep worker threads: SCSQ_BENCH_THREADS or hardware_concurrency.
+/// A bad SCSQ_BENCH_THREADS value prints an error naming it and exits
+/// the bench with status 1.
 unsigned bench_threads();
 
 /// Number of arrays per producer such that one producer's stream is at

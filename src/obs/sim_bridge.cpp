@@ -14,12 +14,9 @@ void bridge_sim_perf(Registry& registry, const sim::PerfCounters& perf) {
   registry.counter("sim.channel_waits").set_total(perf.channel_waits);
   registry.counter("sim.wakeups").set_total(perf.wakeups);
   registry.gauge("sim.peak_queue_depth").set(static_cast<double>(perf.peak_queue_depth));
-  // Event-queue internals. These depend on the pending-event-set
-  // implementation (SCSQ_EVENT_QUEUE) — rung spills and bottom resorts
-  // are zero in heap mode — so metrics_diff exempts the sim.queue.*
-  // family from regression gating, like the layout gauges.
-  registry.counter("sim.queue.rung_spills").set_total(perf.rung_spills);
-  registry.counter("sim.queue.bottom_resorts").set_total(perf.bottom_resorts);
+  // Event-queue internals: cancelled call_at nodes the dispatch loop
+  // consumed silently. metrics_diff exempts the sim.queue.* family from
+  // regression gating, like the layout gauges.
   registry.counter("sim.queue.cancel_consumed").set_total(perf.cancel_consumed);
   // Coroutine-frame pool (process-wide; see sim/task.hpp). Bridged here
   // so frame-recycling health is visible next to the kernel counters.

@@ -171,7 +171,8 @@ OperatorPtr build_plan(const ExprPtr& expr, PlanContext& ctx) {
     auto fn = name == "odd"    ? ArrayMapOp::Fn::kOdd
               : name == "even" ? ArrayMapOp::Fn::kEven
                                : ArrayMapOp::Fn::kFft;
-    return std::make_unique<ArrayMapOp>(ctx, fn, build_plan(expr->args[0], ctx));
+    return std::make_unique<ArrayMapOp>(ctx, ArrayMapOp::Stage{fn, expr->pos},
+                                        build_plan(expr->args[0], ctx));
   }
   if (name == "lr_source" || name == "lr_source_acc") {
     // lr_source(vehicles, ticks, seed) / lr_source_acc(..., accident_tick)

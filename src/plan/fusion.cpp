@@ -40,7 +40,7 @@ class FusedPipelineOp final : public Operator {
     std::string grep_pattern;                     // kGrep
     std::string grep_file;
     /// Array transforms in application order (source-side first).
-    std::vector<ArrayMapOp::Fn> stages;
+    std::vector<ArrayMapOp::Stage> stages;
     Terminal terminal = Terminal::kNone;
     std::string name;  // e.g. "fused(count(receive))"
   };
@@ -188,12 +188,12 @@ class FusedPipelineOp final : public Operator {
           default:
             break;  // receive/grep charged in fill_source
         }
-        for (auto fn : spec_.stages) {
-          const auto& arr = cur.as_darray();
-          end += fn == ArrayMapOp::Fn::kFft
+        for (const ArrayMapOp::Stage& stage : spec_.stages) {
+          const auto& arr = ArrayMapOp::input(stage, cur);
+          end += stage.fn == ArrayMapOp::Fn::kFft
                      ? op_costs::array_fft(ctx_->node, arr.size())
                      : op_costs::array_select(ctx_->node, arr.size());
-          switch (fn) {
+          switch (stage.fn) {
             case ArrayMapOp::Fn::kOdd:
               cur = Object{funcs::odd(arr)};
               break;
@@ -254,15 +254,6 @@ bool is_unary_call(const ExprPtr& e, const char* name) {
          e->args.size() == 1;
 }
 
-const char* fn_token(ArrayMapOp::Fn fn) {
-  switch (fn) {
-    case ArrayMapOp::Fn::kOdd: return "odd";
-    case ArrayMapOp::Fn::kEven: return "even";
-    case ArrayMapOp::Fn::kFft: return "fft";
-  }
-  return "?";
-}
-
 }  // namespace
 
 OperatorPtr try_build_fused(const ExprPtr& expr, PlanContext& ctx) {
@@ -286,18 +277,18 @@ OperatorPtr try_build_fused(const ExprPtr& expr, PlanContext& ctx) {
 
   // Stateless stages between terminal and source, collected outermost
   // first (applied source-side first below).
-  std::vector<ArrayMapOp::Fn> outer_stages;
+  std::vector<ArrayMapOp::Stage> outer_stages;
   while (true) {
     if (is_unary_call(*cur, "streamof")) {
       cur = &(*cur)->args[0];
     } else if (is_unary_call(*cur, "odd")) {
-      outer_stages.push_back(ArrayMapOp::Fn::kOdd);
+      outer_stages.push_back({ArrayMapOp::Fn::kOdd, (*cur)->pos});
       cur = &(*cur)->args[0];
     } else if (is_unary_call(*cur, "even")) {
-      outer_stages.push_back(ArrayMapOp::Fn::kEven);
+      outer_stages.push_back({ArrayMapOp::Fn::kEven, (*cur)->pos});
       cur = &(*cur)->args[0];
     } else if (is_unary_call(*cur, "fft")) {
-      outer_stages.push_back(ArrayMapOp::Fn::kFft);
+      outer_stages.push_back({ArrayMapOp::Fn::kFft, (*cur)->pos});
       cur = &(*cur)->args[0];
     } else {
       break;
@@ -364,7 +355,9 @@ OperatorPtr try_build_fused(const ExprPtr& expr, PlanContext& ctx) {
   }
 
   std::string nm = src_token;
-  for (auto fn : spec.stages) nm = std::string(fn_token(fn)) + "(" + nm + ")";
+  for (const ArrayMapOp::Stage& stage : spec.stages) {
+    nm = std::string(ArrayMapOp::fn_name(stage.fn)) + "(" + nm + ")";
+  }
   if (term == FusedPipelineOp::Terminal::kCount) nm = "count(" + nm + ")";
   if (term == FusedPipelineOp::Terminal::kSum) nm = "sum(" + nm + ")";
   spec.name = "fused(" + nm + ")";

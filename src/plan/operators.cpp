@@ -190,11 +190,11 @@ sim::Task<std::optional<Object>> SumOp::next() {
 // ArrayMapOp
 // ---------------------------------------------------------------------
 
-ArrayMapOp::ArrayMapOp(PlanContext& ctx, Fn fn, OperatorPtr child)
-    : ctx_(&ctx), fn_(fn), child_(std::move(child)) {}
+ArrayMapOp::ArrayMapOp(PlanContext& ctx, Stage stage, OperatorPtr child)
+    : ctx_(&ctx), stage_(stage), child_(std::move(child)) {}
 
-std::string ArrayMapOp::name() const {
-  switch (fn_) {
+const char* ArrayMapOp::fn_name(Fn fn) {
+  switch (fn) {
     case Fn::kOdd: return "odd";
     case Fn::kEven: return "even";
     case Fn::kFft: return "fft";
@@ -202,11 +202,21 @@ std::string ArrayMapOp::name() const {
   return "?";
 }
 
+const std::vector<double>& ArrayMapOp::input(const Stage& stage, const Object& obj) {
+  if (obj.kind() != catalog::Kind::kDArray) {
+    throw scsql::Error(std::string(fn_name(stage.fn)) +
+                           "() expects a stream of real arrays (got " +
+                           catalog::kind_name(obj.kind()) + ")",
+                       stage.pos);
+  }
+  return obj.as_darray();
+}
+
 sim::Task<std::optional<Object>> ArrayMapOp::next() {
   auto obj = co_await child_->next();
   if (!obj) co_return std::nullopt;
-  const auto& in = obj->as_darray();
-  switch (fn_) {
+  const auto& in = input(stage_, *obj);
+  switch (stage_.fn) {
     case Fn::kOdd: {
       co_await ctx_->cpu->use(op_costs::array_select(ctx_->node, in.size()));
       co_return std::optional<Object>(Object{funcs::odd(in)});

@@ -136,13 +136,25 @@ class PassOp final : public Operator {
 class ArrayMapOp final : public Operator {
  public:
   enum class Fn { kOdd, kEven, kFft };
-  ArrayMapOp(PlanContext& ctx, Fn fn, OperatorPtr child);
+  /// One odd/even/fft call: the transform and the call's source position.
+  struct Stage {
+    Fn fn;
+    scsql::SourcePos pos;
+  };
+  ArrayMapOp(PlanContext& ctx, Stage stage, OperatorPtr child);
   sim::Task<std::optional<catalog::Object>> next() override;
-  std::string name() const override;
+  std::string name() const override { return fn_name(stage_.fn); }
+
+  static const char* fn_name(Fn fn);
+
+  /// The real array `stage` maps over. Any other kind of object is an
+  /// scsql::Error naming the function, the kind it got and the call's
+  /// source position (the fused pipeline checks its stages with it too).
+  static const std::vector<double>& input(const Stage& stage, const catalog::Object& obj);
 
  private:
   PlanContext* ctx_;
-  Fn fn_;
+  Stage stage_;
   OperatorPtr child_;
 };
 

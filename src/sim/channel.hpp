@@ -11,14 +11,18 @@
 //
 // send() and recv() return custom awaitables with an inline fast path:
 // when the operation can complete without parking (buffer has room /
-// data, or the channel is closed), await_ready() performs it directly
-// and the co_await costs no coroutine frame at all. Only a send into a
-// full buffer or a recv from an empty one falls back to a slow-path
-// Task coroutine that parks on the wait queue — semantically identical
-// to running the whole operation as a coroutine (the fast path is
-// exactly the no-suspension execution of the old Task body), but the
-// steady-state streaming case skips frame allocation and the coroutine
-// state machine entirely.
+// data, or the channel is closed), await_ready() performs it directly.
+// Only a send into a full buffer or a recv from an empty one parks, and
+// it parks the awaiter itself (sim::Parked), not a coroutine: the wait
+// list holds the awaiter's event word, and each wake runs one pass of
+// the condition loop a spelled-out coroutine would run —
+//   while (full && !closed) { count a wait; co_await senders.wait(); }
+//   deliver(value);
+// — completing the operation and resuming the awaiting coroutine inline
+// once the condition holds, or counting a wait and parking again at the
+// back of the list when another process took the slot or the value
+// first. The kernel events are exactly that coroutine's, and no wait
+// costs a coroutine frame.
 #pragma once
 
 #include <coroutine>
@@ -26,7 +30,6 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
 
 namespace scsq::sim {
 
@@ -46,14 +49,12 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  class [[nodiscard]] SendAwaiter {
+  class [[nodiscard]] SendAwaiter : Parked {
    public:
-    SendAwaiter(Channel& ch, T value) : ch_(&ch), value_(std::move(value)) {}
+    SendAwaiter(Channel& ch, T value)
+        : Parked(&SendAwaiter::wake), ch_(&ch), value_(std::move(value)) {}
     SendAwaiter(const SendAwaiter&) = delete;
     SendAwaiter& operator=(const SendAwaiter&) = delete;
-    ~SendAwaiter() {
-      if (handle_) handle_.destroy();
-    }
 
     bool await_ready() {
       if (ch_->count_ < ch_->capacity_ || ch_->closed_) {
@@ -62,31 +63,34 @@ class Channel {
       }
       return false;
     }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
-      handle_ = ch_->send_slow(std::move(value_)).release();
-      handle_.promise().continuation = parent;
-      return handle_;  // symmetric transfer into the parking coroutine
+    void await_suspend(std::coroutine_handle<> parent) {
+      parent_ = parent;
+      ch_->park(ch_->senders_, this);
     }
-    void await_resume() {
-      if (handle_ && handle_.promise().exception) {
-        std::rethrow_exception(handle_.promise().exception);
-      }
-    }
+    void await_resume() const noexcept {}
 
    private:
+    static void wake(Parked* p) {
+      auto* self = static_cast<SendAwaiter*>(p);
+      Channel* ch = self->ch_;
+      if (ch->count_ >= ch->capacity_ && !ch->closed_) {
+        ch->park(ch->senders_, self);  // another sender took the slot
+        return;
+      }
+      ch->deliver(std::move(self->value_));
+      self->parent_.resume();  // last touch: the parent owns *self
+    }
+
     Channel* ch_;
     T value_;
-    std::coroutine_handle<typename Task<void>::promise_type> handle_{};
+    std::coroutine_handle<> parent_;
   };
 
-  class [[nodiscard]] RecvAwaiter {
+  class [[nodiscard]] RecvAwaiter : Parked {
    public:
-    explicit RecvAwaiter(Channel& ch) : ch_(&ch) {}
+    explicit RecvAwaiter(Channel& ch) : Parked(&RecvAwaiter::wake), ch_(&ch) {}
     RecvAwaiter(const RecvAwaiter&) = delete;
     RecvAwaiter& operator=(const RecvAwaiter&) = delete;
-    ~RecvAwaiter() {
-      if (handle_) handle_.destroy();
-    }
 
     bool await_ready() {
       if (ch_->count_ > 0) {
@@ -95,23 +99,28 @@ class Channel {
       }
       return ch_->closed_;  // closed and drained: result_ stays nullopt
     }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
-      handle_ = ch_->recv_slow().release();
-      handle_.promise().continuation = parent;
-      return handle_;
+    void await_suspend(std::coroutine_handle<> parent) {
+      parent_ = parent;
+      ch_->park(ch_->receivers_, this);
     }
-    std::optional<T> await_resume() {
-      if (!handle_) return std::move(result_);
-      auto& p = handle_.promise();
-      if (p.exception) std::rethrow_exception(p.exception);
-      SCSQ_CHECK(p.value.has_value()) << "channel recv finished without a value";
-      return std::move(*p.value);
-    }
+    std::optional<T> await_resume() { return std::move(result_); }
 
    private:
+    static void wake(Parked* p) {
+      auto* self = static_cast<RecvAwaiter*>(p);
+      Channel* ch = self->ch_;
+      if (ch->count_ > 0) {
+        self->result_ = ch->take();
+      } else if (!ch->closed_) {
+        ch->park(ch->receivers_, self);  // another receiver took the value
+        return;
+      }
+      self->parent_.resume();  // last touch: the parent owns *self
+    }
+
     Channel* ch_;
     std::optional<T> result_;
-    std::coroutine_handle<typename Task<std::optional<T>>::promise_type> handle_{};
+    std::coroutine_handle<> parent_;
   };
 
   /// Sends a value, suspending while the buffer is full. Sending on a
@@ -179,23 +188,10 @@ class Channel {
     return value;
   }
 
-  /// Slow path: park until the buffer has room, then deliver.
-  Task<void> send_slow(T value) {
-    while (count_ >= capacity_ && !closed_) {
-      sim_->count_channel_wait();
-      co_await senders_.wait();
-    }
-    deliver(std::move(value));
-  }
-
-  /// Slow path: park until a value arrives or the channel closes.
-  Task<std::optional<T>> recv_slow() {
-    while (count_ == 0) {
-      if (closed_) co_return std::nullopt;
-      sim_->count_channel_wait();
-      co_await receivers_.wait();
-    }
-    co_return std::optional<T>(take());
+  /// One suspension on a full or empty channel.
+  void park(WaitQueue& queue, Parked* waiter) {
+    sim_->count_channel_wait();
+    queue.park(waiter);
   }
 
   Simulator* sim_;

@@ -11,7 +11,6 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -42,7 +41,9 @@ class Resource {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { res->waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) {
+        res->waiters_.push_back(Simulator::word_of(h));
+      }
       void await_resume() const {}
     };
     return Awaiter{this};
@@ -67,19 +68,19 @@ class Resource {
   /// Awaiter returned by use(). When a slot is free, await_ready takes
   /// it and the awaiting coroutine itself is scheduled at now + hold —
   /// the very push the spelled-out acquire/delay/release coroutine makes
-  /// — and releases in await_resume, so the uncontended hold costs no
-  /// coroutine frame. Only a caller that must queue falls back to that
-  /// coroutine (use_queued), which parks on the FIFO waiter list. Either
-  /// way the grants, timestamps and kernel events are exactly those of
+  /// — and releases in await_resume. A caller that must queue parks the
+  /// awaiter itself (sim::Parked) on the FIFO waiter list; the hand-off
+  /// event's wake schedules that same timed push (or, for a zero hold,
+  /// releases and resumes the caller at once). Either way no coroutine
+  /// frame is taken, and the grants, timestamps and kernel events are
+  /// exactly those of
   ///   co_await acquire(); co_await sim.delay(d); release();
-  class [[nodiscard]] UseAwaiter {
+  class [[nodiscard]] UseAwaiter : Parked {
    public:
-    UseAwaiter(Resource& res, Time duration) : res_(&res), duration_(duration) {}
+    UseAwaiter(Resource& res, Time duration)
+        : Parked(&UseAwaiter::wake), res_(&res), duration_(duration) {}
     UseAwaiter(const UseAwaiter&) = delete;
     UseAwaiter& operator=(const UseAwaiter&) = delete;
-    ~UseAwaiter() {
-      if (queued_) queued_.destroy();
-    }
 
     bool await_ready() {
       if (res_->in_use_ >= res_->capacity_) return false;  // must queue
@@ -91,30 +92,37 @@ class Resource {
       held_ = true;
       return false;
     }
-    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+    void await_suspend(std::coroutine_handle<> caller) {
+      caller_ = caller;
       if (held_) {
-        res_->sim_->schedule_at(res_->sim_->now() + duration_, caller);
-        return std::noop_coroutine();
+        hold();
+      } else {
+        res_->waiters_.push_back(Simulator::word_of(static_cast<Parked*>(this)));
       }
-      queued_ = res_->use_queued(duration_).release();
-      queued_.promise().continuation = caller;
-      return queued_;  // symmetric transfer into the parking coroutine
     }
     void await_resume() {
-      if (held_) {
-        res_->release();
-        return;
-      }
-      if (queued_ && queued_.promise().exception) {
-        std::rethrow_exception(queued_.promise().exception);
-      }
+      if (held_) res_->release();
     }
 
    private:
+    void hold() { res_->sim_->schedule_at(res_->sim_->now() + duration_, caller_); }
+
+    // The hand-off event: a release passed this waiter the slot.
+    static void wake(Parked* p) {
+      auto* self = static_cast<UseAwaiter*>(p);
+      if (self->duration_ <= 0.0) {
+        self->res_->release();
+        self->caller_.resume();  // last touch: the caller owns *self
+        return;
+      }
+      self->held_ = true;
+      self->hold();
+    }
+
     Resource* res_;
     Time duration_;
     bool held_ = false;
-    std::coroutine_handle<Task<void>::promise_type> queued_{};
+    std::coroutine_handle<> caller_;
   };
 
   /// Acquire, hold for `duration` simulated seconds, release (see
@@ -192,20 +200,12 @@ class Resource {
     if (in_use_ == 1) episode_start_ = sim_->now();
   }
 
-  /// use() slow path: the spelled-out hold, parked on the waiter list
-  /// until a release hands it the slot.
-  Task<void> use_queued(Time duration) {
-    co_await acquire();
-    co_await sim_->delay(duration);
-    release();
-  }
-
   /// Oldest waiter. The list is a vector consumed from waiter_head_: it
   /// resets when drained and compacts in place once the spent prefix
   /// dominates, so steady-state queueing reuses one allocation (a deque
   /// would allocate a fresh block every few dozen waits).
-  std::coroutine_handle<> pop_waiter() {
-    const auto h = waiters_[waiter_head_++];
+  EventWord pop_waiter() {
+    const EventWord w = waiters_[waiter_head_++];
     if (waiter_head_ == waiters_.size()) {
       waiters_.clear();
       waiter_head_ = 0;
@@ -214,7 +214,7 @@ class Resource {
                      waiters_.begin() + static_cast<std::ptrdiff_t>(waiter_head_));
       waiter_head_ = 0;
     }
-    return h;
+    return w;
   }
 
   void note_change() {
@@ -226,7 +226,7 @@ class Resource {
   int capacity_;
   std::string name_;
   int in_use_ = 0;
-  std::vector<std::coroutine_handle<>> waiters_;  // FIFO from waiter_head_
+  std::vector<EventWord> waiters_;  // FIFO from waiter_head_
   std::size_t waiter_head_ = 0;
   double busy_integral_ = 0.0;
   double last_change_ = 0.0;

@@ -5,12 +5,7 @@
 
 namespace scsq::sim {
 
-Simulator::Simulator() : Simulator(EventQueue::mode_from_env()) {}
-
-Simulator::Simulator(EventQueue::Mode queue_mode)
-    : timed_(queue_mode, &perf_.rung_spills, &perf_.bottom_resorts) {
-  util::set_log_time_source([this] { return now_; });
-}
+Simulator::Simulator() { util::set_log_time_source([this] { return now_; }); }
 
 Simulator::~Simulator() {
   util::set_log_time_source(nullptr);
@@ -64,7 +59,7 @@ Simulator::TimerId Simulator::call_at(Time at, std::function<void()> fn) {
     callbacks_.push_back(std::move(fn));
     callback_gens_.push_back(0);
   }
-  const auto payload = (static_cast<std::uintptr_t>(slot) << 1) | 1u;
+  const EventWord payload = (static_cast<EventWord>(slot) << 1) | kCallbackTag;
   if (at == now_) {
     push_fifo(payload);
   } else {
@@ -85,7 +80,7 @@ bool Simulator::cancel_timer(TimerId id) {
   return true;
 }
 
-void Simulator::run_callback(std::uintptr_t payload) {
+void Simulator::run_callback(EventWord payload) {
   const auto slot = static_cast<std::uint32_t>(payload >> 1);
   auto fn = std::move(callbacks_[slot]);
   callbacks_[slot] = nullptr;
@@ -100,7 +95,7 @@ Time Simulator::run(Time limit) {
     const std::size_t timed_size = timed_.size();
     const std::uint64_t depth = timed_size + fifo_live;
     if (depth > perf_.peak_queue_depth) perf_.peak_queue_depth = depth;
-    std::uintptr_t payload;
+    EventWord payload;
     if (fifo_live != 0) {
       // The FIFO only ever holds events stamped at now_, so it drains
       // before time advances; a timed event at the same timestamp runs
@@ -134,8 +129,11 @@ Time Simulator::run(Time limit) {
       break;
     }
     ++perf_.events_dispatched;
-    if (payload & 1u) {
+    if (payload & kCallbackTag) {
       run_callback(payload);
+    } else if (payload & kParkedTag) {
+      auto* parked = reinterpret_cast<Parked*>(payload ^ kParkedTag);
+      parked->wake(parked);
     } else {
       std::coroutine_handle<>::from_address(reinterpret_cast<void*>(payload)).resume();
     }

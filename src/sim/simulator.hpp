@@ -1,22 +1,26 @@
 // Discrete-event simulation kernel.
 //
-// The Simulator owns a timestamped event queue (coroutine resumptions or
-// plain callbacks) and drives spawned root tasks until no events remain.
-// All SCSQ "hardware" (networks, CPUs, co-processors) is modeled on top
-// of this kernel; simulated time stands in for the wall-clock
-// measurements of the paper.
+// The Simulator owns a timestamped event queue (coroutine resumptions,
+// plain callbacks or parked awaiters) and drives spawned root tasks
+// until no events remain. All SCSQ "hardware" (networks, CPUs,
+// co-processors) is modeled on top of this kernel; simulated time stands
+// in for the wall-clock measurements of the paper.
 //
 // Hot-path layout: a queued event is 24 bytes of POD — timestamp, FIFO
-// sequence number, and a type-punned payload word. Coroutine frame
-// addresses are at least 2-byte aligned, so the low payload bit tags the
-// rare plain-callback events, whose std::function lives in a reusable
-// side slab instead of inside every queue node. Events land either in
-// the timed pending-event set (sim/event_queue.hpp: a ladder queue by
-// default, the old binary min-heap behind SCSQ_EVENT_QUEUE=heap as a
-// byte-diffable reference — both dispatch in the identical (time, seq)
-// order) or in an index-advancing FIFO ring (events at exactly now(),
-// the common case for channel wake-ups), so the usual
-// schedule_now/resume cycle never touches the timed structure at all.
+// sequence number, and one event word whose low bits tell its kind:
+//
+//   ...00  a coroutine frame address: dispatch resumes the coroutine
+//   ....1  a call_at slab slot (slot << 1 | 1): dispatch runs the
+//          callback, whose std::function lives in a reusable side slab
+//          instead of inside every queue node
+//   ...10  a Parked awaiter's address | 2: dispatch calls its wake()
+//
+// Coroutine frames and Parked awaiters are at least 4-byte aligned, so
+// both tag bits are free in their addresses. Events land either in the
+// timed pending-event set (sim/event_queue.hpp, a 4-ary heap) or in an
+// index-advancing FIFO ring (events at exactly now(), the common case
+// for channel wake-ups), so the usual schedule_now/resume cycle never
+// touches the timed structure at all.
 //
 // Threading model: one Simulator is strictly single-threaded,
 // run-to-completion. A resumed coroutine runs until its next suspension;
@@ -52,18 +56,28 @@ struct PerfCounters {
   std::uint64_t channel_waits = 0;      ///< suspensions on full/empty channels
   std::uint64_t wakeups = 0;            ///< WaitQueue/Event notify resumptions
   std::uint64_t peak_queue_depth = 0;   ///< max outstanding events (timed+fifo)
-  std::uint64_t rung_spills = 0;        ///< events respread into a ladder rung
-  std::uint64_t bottom_resorts = 0;     ///< bucket/top batches sorted to bottom
   std::uint64_t cancel_consumed = 0;    ///< cancelled timer nodes popped silently
 };
 
+/// An awaiter that parks itself on a wait list in place of a coroutine
+/// frame (Channel::send/recv, the queued Resource::use). The list holds
+/// its event word (Simulator::word_of); when a notify or a release
+/// schedules that word, dispatch calls wake(this), which re-checks the
+/// awaiter's condition and either completes it — resuming the awaiting
+/// coroutine inline — or parks it again. The awaiter lives in the
+/// awaiting coroutine's frame, so wake() must not touch it after that
+/// resumption.
+struct Parked {
+  explicit Parked(void (*wake_fn)(Parked*)) : wake(wake_fn) {}
+  void (*wake)(Parked*);
+};
+
+/// What the kernel queues and what wait lists hold (see the kinds above).
+using EventWord = std::uintptr_t;
+
 class Simulator {
  public:
-  /// Default: pending-event set mode from SCSQ_EVENT_QUEUE (ladder
-  /// unless overridden).
   Simulator();
-  /// Explicit pending-event-set mode (tests and benches compare both).
-  explicit Simulator(EventQueue::Mode queue_mode);
   ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -71,16 +85,12 @@ class Simulator {
   /// Current simulated time (seconds since simulation start).
   Time now() const { return now_; }
 
-  /// Pending-event-set mode this kernel runs with.
-  EventQueue::Mode queue_mode() const { return timed_.mode(); }
-
   /// Returns the kernel to its initial state — clock at 0, seq counter at
   /// 0, no queued events, no live roots — while keeping every piece of
-  /// warm storage (event-queue rungs and vectors, FIFO ring, callback
-  /// slab). Re-running a workload on a reset Simulator allocates nothing
-  /// in steady state. PerfCounters are cumulative across resets.
-  /// Outstanding TimerIds are invalidated (their slots' generations
-  /// advance).
+  /// warm storage (event heap, FIFO ring, callback slab). Re-running a
+  /// workload on a reset Simulator allocates nothing in steady state.
+  /// PerfCounters are cumulative across resets. Outstanding TimerIds are
+  /// invalidated (their slots' generations advance).
   void reset();
 
   /// Starts a root process. The task begins executing at the current time
@@ -93,15 +103,24 @@ class Simulator {
   void schedule_at(Time at, std::coroutine_handle<> h) {
     SCSQ_CHECK(at >= now_) << "scheduling into the past: " << at << " < " << now_;
     if (at == now_) {
-      push_fifo(encode(h));
+      push_fifo(word_of(h));
     } else {
-      push_timed(at, encode(h));
+      push_timed(at, word_of(h));
     }
   }
 
   /// Schedules `h` to resume at the current time, after already-queued
   /// same-time events (FIFO within a timestamp).
-  void schedule_now(std::coroutine_handle<> h) { push_fifo(encode(h)); }
+  void schedule_now(std::coroutine_handle<> h) { push_fifo(word_of(h)); }
+
+  /// Schedules a wait list's event word at the current time (FIFO).
+  void schedule_now(EventWord w) { push_fifo(w); }
+
+  /// Event word of a suspended coroutine and of a parked awaiter.
+  static EventWord word_of(std::coroutine_handle<> h) {
+    return reinterpret_cast<EventWord>(h.address());
+  }
+  static EventWord word_of(Parked* p) { return reinterpret_cast<EventWord>(p) | kParkedTag; }
 
   /// Handle to a pending call_at timer, usable with cancel_timer. The
   /// generation counter makes stale handles harmless: a slot recycled to
@@ -194,34 +213,37 @@ class Simulator {
   static constexpr Time kNoLimit = 1e300;
 
  private:
-  static std::uintptr_t encode(std::coroutine_handle<> h) {
-    return reinterpret_cast<std::uintptr_t>(h.address());
-  }
+  static constexpr EventWord kCallbackTag = 1;
+  static constexpr EventWord kParkedTag = 2;
+  static_assert(alignof(Parked) >= 4, "bit 1 of a Parked address tags the event word");
+  // Coroutine frames come from coro_alloc: 64-byte-multiple blocks
+  // carved from ::operator new chunks, or ::operator new itself.
+  static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= 4,
+                "bits 0 and 1 of a coroutine frame address must be free");
 
   // Peak queue depth is sampled at the top of the run() loop rather than
   // on every push: depth only grows between two pops, so it is maximal
   // exactly when the next event is about to be popped, and the loop top
   // already has both container sizes in registers.
-  void push_fifo(std::uintptr_t payload) {
+  void push_fifo(EventWord payload) {
     ++perf_.fifo_pushes;
     fifo_.push_back(QueuedEvent{now_, seq_++, payload});
   }
 
-  // `heap_pushes` keeps its historical name: it counts pushes into the
-  // timed pending-event set, whichever structure backs it.
-  void push_timed(Time at, std::uintptr_t payload) {
+  // `heap_pushes` counts pushes into the timed pending-event set.
+  void push_timed(Time at, EventWord payload) {
     ++perf_.heap_pushes;
     timed_.push(QueuedEvent{at, seq_++, payload});
   }
 
-  void run_callback(std::uintptr_t payload);
+  void run_callback(EventWord payload);
   void sweep_finished_roots();
 
   // True (and the slot released) when `payload` is a cancelled callback
   // node: the dispatch loop consumes it without any observable effect
   // beyond the cancel_consumed diagnostic counter.
-  bool consume_cancelled(std::uintptr_t payload) {
-    if (!(payload & 1u)) return false;
+  bool consume_cancelled(EventWord payload) {
+    if (!(payload & kCallbackTag)) return false;
     const auto slot = static_cast<std::uint32_t>(payload >> 1);
     if (callbacks_[slot]) return false;
     free_slots_.push_back(slot);
@@ -231,7 +253,7 @@ class Simulator {
 
   Time now_ = 0.0;
   std::uint64_t seq_ = 0;            // FIFO tie-break within a timestamp
-  PerfCounters perf_;                // must precede timed_ (it points in)
+  PerfCounters perf_;
   EventQueue timed_;                 // pending-event set for at > now()
   std::vector<QueuedEvent> fifo_;  // events at now_, drained by fifo_head_
   std::size_t fifo_head_ = 0;
@@ -292,12 +314,14 @@ class Event {
 
 /// Condition-variable-like wait queue used to build channels.
 /// wait() suspends until notify_one()/notify_all(); waiters must re-check
-/// their condition after resuming (standard cv loop discipline).
+/// their condition after resuming (standard cv loop discipline). A
+/// Parked awaiter queues through park() instead and re-checks in its
+/// wake().
 ///
-/// The waiter list is an index-advancing ring: notify_one hands out
-/// waiters_[head_++] in O(1) instead of erasing the vector front, and the
-/// storage resets once the ring drains, so no wake-up path in the kernel
-/// is linear in the number of waiters.
+/// The waiter list is an index-advancing ring of event words:
+/// notify_one hands out waiters_[head_++] in O(1) instead of erasing the
+/// vector front, and the storage resets once the ring drains, so no
+/// wake-up path in the kernel is linear in the number of waiters.
 class WaitQueue {
  public:
   explicit WaitQueue(Simulator& sim) : sim_(&sim) {}
@@ -306,11 +330,16 @@ class WaitQueue {
     struct Awaiter {
       WaitQueue* wq;
       bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) { wq->waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) {
+        wq->waiters_.push_back(Simulator::word_of(h));
+      }
       void await_resume() const noexcept {}
     };
     return Awaiter{this};
   }
+
+  /// Queues a parked awaiter at the back of the list.
+  void park(Parked* p) { waiters_.push_back(Simulator::word_of(p)); }
 
   void notify_one() {
     if (head_ == waiters_.size()) return;
@@ -336,7 +365,7 @@ class WaitQueue {
  private:
   Simulator* sim_;
   std::size_t head_ = 0;  // oldest live waiter; entries before it are spent
-  std::vector<std::coroutine_handle<>> waiters_;
+  std::vector<EventWord> waiters_;
 };
 
 }  // namespace scsq::sim

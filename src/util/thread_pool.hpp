@@ -26,6 +26,8 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -56,8 +58,18 @@ class ThreadPool {
 
   unsigned thread_count() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Worker count for sweeps: SCSQ_BENCH_THREADS if set (>= 1), else
-  /// hardware_concurrency. SCSQ_BENCH_THREADS=1 disables threading.
+  /// Largest worker count SCSQ_BENCH_THREADS may ask for.
+  static constexpr unsigned kMaxThreads = 1024;
+
+  /// Parses an SCSQ_BENCH_THREADS value: decimal digits only, from 1 to
+  /// kMaxThreads. Anything else (0, a sign, blanks, trailing text, a
+  /// count past the bound) is nullopt.
+  static std::optional<unsigned> parse_thread_count(std::string_view text);
+
+  /// Worker count for sweeps: SCSQ_BENCH_THREADS if set and not empty,
+  /// else hardware_concurrency. SCSQ_BENCH_THREADS=1 disables threading.
+  /// A value parse_thread_count rejects throws std::invalid_argument
+  /// naming the variable and the value.
   static unsigned default_threads();
 
  private:

@@ -137,6 +137,30 @@ TEST(EngineEdge, EmptyEnumerationYieldsNoProducers) {
                scsql::Error);
 }
 
+TEST(EngineEdge, ArrayTransformOfNonArrayIsAnError) {
+  // gen_array streams synthetic arrays, not real ones. odd/even/fft must
+  // reject them with an scsql::Error at the call's position, both in the
+  // per-item operator (batch size 1) and in the fused pipeline.
+  for (const std::string fn : {"odd", "even", "fft"}) {
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
+      ScsqConfig config;
+      config.exec.batch_size = batch;
+      Scsq scsq(config);
+      try {
+        scsq.run("select " + fn + "(gen_array(3, 4));");
+        ADD_FAILURE() << fn << " at batch " << batch << " was accepted";
+      } catch (const scsql::Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(fn + "() expects a stream of real arrays (got syntharray)"),
+                  std::string::npos)
+            << what;
+        EXPECT_EQ(e.pos().line, 1) << what;
+        EXPECT_EQ(e.pos().column, 8) << what;
+      }
+    }
+  }
+}
+
 TEST(EngineEdge, FunctionWithTwoParameters) {
   Scsq scsq;
   auto r = scsq.run(

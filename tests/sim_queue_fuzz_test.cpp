@@ -1,13 +1,15 @@
-// Differential fuzz for the timed pending-event set (sim/event_queue.hpp).
+// Property fuzz for the timed pending-event set (sim/event_queue.hpp).
 //
 // A deterministic random "program" of call_at / cancel_timer / spawned
-// delay-chain interleavings is replayed on both queue modes {heap,
-// ladder}. Every dispatched callback logs (now(), tag) and draws its next
-// actions from a shared RNG, so the slightest ordering divergence
-// cascades into a completely different log. The two logs must be
-// element-for-element identical — that is the ladder queue's core
-// contract: the exact (time, seq) dispatch order of the binary-heap
-// reference.
+// delay-chain interleavings runs on the kernel. Every dispatched
+// callback and chain hop logs (now(), tag) and draws its next actions
+// from a shared RNG. Alongside, the program records what it scheduled:
+// (scheduled time, tag) for every armed callback and every chain hop,
+// minus the callbacks cancel_timer reported as still pending. Tags are
+// issued in scheduling order, so that record sorted by time, then by
+// tag, is the exact (time, seq) order the kernel promises — and the
+// dispatch log must equal it element for element. No second queue
+// implementation is needed as a reference.
 //
 // Timestamps are quantized to a coarse grid so same-timestamp ties (the
 // seq tie-break) occur constantly, including dt == 0 arms that take the
@@ -15,19 +17,18 @@
 // front selection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using scsq::sim::EventQueue;
 using scsq::sim::Simulator;
 using scsq::sim::Task;
 
@@ -41,8 +42,14 @@ struct FuzzWorld {
   Simulator& sim;
   scsq::util::Rng rng;
   int budget;  // remaining arm() calls; bounds the program
-  std::vector<Dispatch> log;
-  std::vector<Simulator::TimerId> live;
+  std::vector<Dispatch> log;        // what the kernel dispatched
+  std::vector<Dispatch> scheduled;  // what the program scheduled
+  std::vector<bool> cancelled;      // by tag: cancelled while pending
+  struct Armed {
+    Simulator::TimerId id;
+    int tag;
+  };
+  std::vector<Armed> live;
   int next_tag = 0;
 
   FuzzWorld(Simulator& s, std::uint64_t seed, int budget_in)
@@ -51,11 +58,21 @@ struct FuzzWorld {
   // Coarse grid (multiples of 1e-4, including 0) to force timestamp ties.
   double qdelay() { return static_cast<double>(rng.uniform_int(0, 40)) * 1e-4; }
 
+  // Issues the next tag for an event scheduled at `at`, right before the
+  // push that schedules it: tag order is scheduling order.
+  int note_scheduled(double at) {
+    const int tag = next_tag++;
+    scheduled.push_back({at, tag});
+    cancelled.push_back(false);
+    return tag;
+  }
+
   void arm() {
     if (budget <= 0) return;
     --budget;
-    const int tag = next_tag++;
-    live.push_back(sim.call_at(sim.now() + qdelay(), [this, tag] { fire(tag); }));
+    const double at = sim.now() + qdelay();
+    const int tag = note_scheduled(at);
+    live.push_back({sim.call_at(at, [this, tag] { fire(tag); }), tag});
   }
 
   void fire(int tag) {
@@ -77,24 +94,40 @@ struct FuzzWorld {
   }
 
   // Victims are drawn from everything ever armed, so cancels hit pending,
-  // already-fired, and already-cancelled timers alike — cancel_timer's
-  // generation check must behave identically under both queue modes.
+  // already-fired, and already-cancelled timers alike — only the ones
+  // cancel_timer reports as pending drop out of the expected order.
   void cancel_random() {
     if (live.empty()) return;
     const auto idx = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-    sim.cancel_timer(live[idx]);
+    if (sim.cancel_timer(live[idx].id)) {
+      cancelled[static_cast<std::size_t>(live[idx].tag)] = true;
+    }
     live[idx] = live.back();
     live.pop_back();
   }
 
   void spawn_chain();
+
+  // The order the kernel must dispatch in: every scheduled event that
+  // was not cancelled, by time, then by scheduling order.
+  std::vector<Dispatch> expected() const {
+    std::vector<Dispatch> out;
+    for (const Dispatch& d : scheduled) {
+      if (!cancelled[static_cast<std::size_t>(d.tag)]) out.push_back(d);
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Dispatch& a, const Dispatch& b) { return a.at < b.at; });
+    return out;
+  }
 };
 
 Task<void> chain_task(FuzzWorld* w, int hops) {
   for (int i = 0; i < hops; ++i) {
-    const double d = w->qdelay();  // drawn in dispatch order, like everything
-    const int tag = w->next_tag++;
+    // A hop always suspends (delay(0) would not be an event), but on the
+    // same grid as the timers, so hops tie with them.
+    const double d = w->qdelay() + 1e-4;  // drawn in dispatch order, like everything
+    const int tag = w->note_scheduled(w->sim.now() + d);
     co_await w->sim.delay(d);
     w->log.push_back({w->sim.now(), tag});
   }
@@ -108,6 +141,8 @@ void FuzzWorld::spawn_chain() {
   sim.spawn(chain_task(this, hops));
 }
 
+// Runs one seeded program; returns its dispatch log after checking it
+// against the program's own record of what it scheduled.
 std::vector<Dispatch> run_program_on(Simulator& sim, std::uint64_t seed) {
   FuzzWorld w(sim, seed, /*budget=*/400);
   for (int i = 0; i < 16; ++i) w.arm();
@@ -115,30 +150,33 @@ std::vector<Dispatch> run_program_on(Simulator& sim, std::uint64_t seed) {
   w.spawn_chain();
   sim.run();
   EXPECT_EQ(sim.live_root_tasks(), 0u);
+  const std::vector<Dispatch> want = w.expected();
+  EXPECT_EQ(w.log.size(), want.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < w.log.size() && i < want.size(); ++i) {
+    if (!(w.log[i] == want[i])) {
+      ADD_FAILURE() << "seed " << seed << " diverged at " << i << ": dispatched ("
+                    << w.log[i].at << ", " << w.log[i].tag << "), scheduled order wants ("
+                    << want[i].at << ", " << want[i].tag << ")";
+      break;
+    }
+  }
   return std::move(w.log);
 }
 
-std::vector<Dispatch> run_program(EventQueue::Mode mode, std::uint64_t seed) {
-  Simulator sim(mode);
+std::vector<Dispatch> run_program(std::uint64_t seed) {
+  Simulator sim;
   return run_program_on(sim, seed);
 }
 
-TEST(SimQueueFuzz, HeapAndLadderDispatchIdentically) {
+TEST(SimQueueFuzz, DispatchesInTimeThenSchedulingOrder) {
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-    const auto ref = run_program(EventQueue::Mode::kHeap, seed);
-    ASSERT_GT(ref.size(), 100u) << "degenerate program, seed " << seed;
-    const auto ladder = run_program(EventQueue::Mode::kLadder, seed);
-    ASSERT_EQ(ref.size(), ladder.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_TRUE(ref[i] == ladder[i])
-          << "seed " << seed << " diverged at " << i << ": heap (" << ref[i].at << ", "
-          << ref[i].tag << ") vs ladder (" << ladder[i].at << ", " << ladder[i].tag << ")";
-    }
+    const auto log = run_program(seed);
+    ASSERT_GT(log.size(), 100u) << "degenerate program, seed " << seed;
   }
 }
 
 TEST(SimQueueFuzz, ResetReplaysProgramsIdentically) {
-  Simulator sim(EventQueue::Mode::kLadder);
+  Simulator sim;
   const auto first = run_program_on(sim, 77);
   ASSERT_GT(first.size(), 100u);
   for (int cycle = 0; cycle < 3; ++cycle) {
@@ -151,45 +189,36 @@ TEST(SimQueueFuzz, ResetReplaysProgramsIdentically) {
   }
   // A different seed on the recycled storage still matches a fresh kernel.
   sim.reset();
-  EXPECT_EQ(run_program_on(sim, 78),
-            run_program(EventQueue::Mode::kLadder, 78));
+  EXPECT_EQ(run_program_on(sim, 78), run_program(78));
 }
 
-// Degenerate shapes the ladder handles through dedicated paths: a flood
-// of identical timestamps (rung spawning must fail cleanly and back off)
-// and a geometric cascade (forces multi-rung recursion).
+// Degenerate shapes: a flood of identical timestamps (seq is the only
+// key) and a geometric cascade spanning 12 orders of magnitude.
 TEST(SimQueueFuzz, SameTimestampFloodMatchesHeap) {
-  for (const auto mode : {EventQueue::Mode::kHeap, EventQueue::Mode::kLadder}) {
-    Simulator sim(mode);
-    std::vector<int> order;
-    for (int i = 0; i < 3000; ++i) {
-      sim.call_at(0.5, [&order, i] { order.push_back(i); });
-    }
-    sim.run();
-    ASSERT_EQ(order.size(), 3000u);
-    for (int i = 0; i < 3000; ++i) {
-      ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "mode " << static_cast<int>(mode);
-    }
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 3000; ++i) {
+    sim.call_at(0.5, [&order, i] { order.push_back(i); });
+  }
+  sim.run();
+  ASSERT_EQ(order.size(), 3000u);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "arming order broken";
   }
 }
 
 TEST(SimQueueFuzz, GeometricCascadeMatchesHeap) {
-  auto run_cascade = [](EventQueue::Mode mode) {
-    Simulator sim(mode);
-    std::vector<Dispatch> log;
-    // Spans 12 orders of magnitude: early rungs are far too coarse for
-    // the tail, so refills must respread oversized buckets recursively.
-    for (int i = 0; i < 2000; ++i) {
-      const double at = 1e-9 * std::pow(1.0145, i);
-      sim.call_at(at, [&log, &sim, i] { log.push_back({sim.now(), i}); });
-    }
-    sim.run();
-    return log;
-  };
-  const auto heap = run_cascade(EventQueue::Mode::kHeap);
-  const auto ladder = run_cascade(EventQueue::Mode::kLadder);
-  ASSERT_EQ(heap.size(), 2000u);
-  EXPECT_EQ(heap, ladder);
+  Simulator sim;
+  std::vector<Dispatch> log;
+  std::vector<Dispatch> want;
+  for (int i = 0; i < 2000; ++i) {
+    const double at = 1e-9 * std::pow(1.0145, i);
+    want.push_back({at, i});
+    sim.call_at(at, [&log, &sim, i] { log.push_back({sim.now(), i}); });
+  }
+  sim.run();
+  ASSERT_EQ(log.size(), 2000u);
+  EXPECT_EQ(log, want);  // index order, each at its own timestamp
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <coroutine>
+#include <optional>
 #include <vector>
 
 #include "sim/channel.hpp"
@@ -721,6 +723,302 @@ TEST(ResourceUseProperty, SameEventsAsAcquireDelayRelease) {
     EXPECT_EQ(awaited_perf.callbacks_run, spelled_perf.callbacks_run) << "seed " << seed;
     EXPECT_EQ(awaited_busy, spelled_busy) << "seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------
+// Channel waits park the awaiter: same events as a slow-path coroutine
+// ---------------------------------------------------------------------
+
+// The channel in its earlier form, kept here as the reference: a send
+// into a full buffer or a recv from an empty one starts a slow-path
+// coroutine that loops on a WaitQueue until its condition holds, then
+// resumes the awaiting coroutine from its final suspend. `reparks`
+// counts the loop passes after the first: a woken waiter that lost the
+// slot or the value to another process.
+template <class T>
+class SlowPathChannel {
+ public:
+  SlowPathChannel(Simulator& sim, std::size_t capacity)
+      : sim_(&sim), capacity_(capacity), buffer_(capacity), senders_(sim), receivers_(sim) {}
+
+  class [[nodiscard]] SendAwaiter {
+   public:
+    SendAwaiter(SlowPathChannel& ch, T value) : ch_(&ch), value_(std::move(value)) {}
+    SendAwaiter(const SendAwaiter&) = delete;
+    SendAwaiter& operator=(const SendAwaiter&) = delete;
+    ~SendAwaiter() {
+      if (handle_) handle_.destroy();
+    }
+    bool await_ready() {
+      if (ch_->count_ < ch_->capacity_ || ch_->closed_) {
+        ch_->deliver(std::move(value_));
+        return true;
+      }
+      return false;
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
+      handle_ = ch_->send_slow(std::move(value_)).release();
+      handle_.promise().continuation = parent;
+      return handle_;
+    }
+    void await_resume() {}
+
+   private:
+    SlowPathChannel* ch_;
+    T value_;
+    std::coroutine_handle<Task<void>::promise_type> handle_{};
+  };
+
+  class [[nodiscard]] RecvAwaiter {
+   public:
+    explicit RecvAwaiter(SlowPathChannel& ch) : ch_(&ch) {}
+    RecvAwaiter(const RecvAwaiter&) = delete;
+    RecvAwaiter& operator=(const RecvAwaiter&) = delete;
+    ~RecvAwaiter() {
+      if (handle_) handle_.destroy();
+    }
+    bool await_ready() {
+      if (ch_->count_ > 0) {
+        result_ = ch_->take();
+        return true;
+      }
+      return ch_->closed_;
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
+      handle_ = ch_->recv_slow().release();
+      handle_.promise().continuation = parent;
+      return handle_;
+    }
+    std::optional<T> await_resume() {
+      if (!handle_) return std::move(result_);
+      return std::move(*handle_.promise().value);
+    }
+
+   private:
+    SlowPathChannel* ch_;
+    std::optional<T> result_;
+    std::coroutine_handle<typename Task<std::optional<T>>::promise_type> handle_{};
+  };
+
+  SendAwaiter send(T value) { return SendAwaiter(*this, std::move(value)); }
+  RecvAwaiter recv() { return RecvAwaiter(*this); }
+  void close() {
+    if (closed_) return;
+    closed_ = true;
+    receivers_.notify_all();
+    senders_.notify_all();
+  }
+
+  int reparks = 0;
+
+ private:
+  void deliver(T&& value) {
+    if (closed_) return;
+    sim_->count_channel_send();
+    std::size_t tail = head_ + count_;
+    if (tail >= capacity_) tail -= capacity_;
+    buffer_[tail] = std::move(value);
+    ++count_;
+    receivers_.notify_one();
+  }
+  T take() {
+    T value = std::move(buffer_[head_]);
+    if (++head_ == capacity_) head_ = 0;
+    --count_;
+    sim_->count_channel_recv();
+    senders_.notify_one();
+    return value;
+  }
+  Task<void> send_slow(T value) {
+    for (int pass = 0; count_ >= capacity_ && !closed_; ++pass) {
+      if (pass > 0) ++reparks;
+      sim_->count_channel_wait();
+      co_await senders_.wait();
+    }
+    deliver(std::move(value));
+  }
+  Task<std::optional<T>> recv_slow() {
+    for (int pass = 0; count_ == 0; ++pass) {
+      if (closed_) co_return std::nullopt;
+      if (pass > 0) ++reparks;
+      sim_->count_channel_wait();
+      co_await receivers_.wait();
+    }
+    co_return std::optional<T>(take());
+  }
+
+  Simulator* sim_;
+  std::size_t capacity_;
+  bool closed_ = false;
+  std::vector<T> buffer_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  WaitQueue senders_;
+  WaitQueue receivers_;
+};
+
+// One completed channel operation: when, by which process, which value
+// (-1: a recv that found the channel closed and drained).
+struct ChanRecord {
+  double t = 0.0;
+  int proc = 0;
+  int value = 0;
+  bool operator==(const ChanRecord&) const = default;
+};
+
+template <class Ch>
+Task<void> chan_sender(Simulator& sim, Ch& ch, std::vector<double> gaps, int proc,
+                       std::vector<ChanRecord>& log) {
+  for (int i = 0; i < static_cast<int>(gaps.size()); ++i) {
+    co_await sim.delay(gaps[static_cast<std::size_t>(i)]);
+    const int value = proc * 100 + i;
+    co_await ch.send(value);
+    log.push_back({sim.now(), proc, value});
+  }
+}
+
+template <class Ch>
+Task<void> chan_receiver(Simulator& sim, Ch& ch, std::vector<double> gaps, int proc,
+                         std::vector<ChanRecord>& log) {
+  for (std::size_t i = 0;; ++i) {
+    co_await sim.delay(gaps[i % gaps.size()]);
+    const std::optional<int> v = co_await ch.recv();
+    log.push_back({sim.now(), proc, v ? *v : -1});
+    if (!v) break;
+  }
+}
+
+template <class Ch>
+Task<void> chan_closer(Simulator& sim, Ch& ch, double at) {
+  co_await sim.delay(at);
+  ch.close();
+}
+
+struct ChanMix {
+  std::size_t capacity = 1;
+  std::vector<std::vector<double>> senders;    // per sender: gap before each send
+  std::vector<std::vector<double>> receivers;  // per receiver: gaps, cycled
+  double close_at = 0.0;
+};
+
+template <class Ch>
+void run_chan_mix(const ChanMix& mix, std::vector<ChanRecord>& log, PerfCounters& perf,
+                  int* reparks) {
+  Simulator sim;
+  Ch ch(sim, mix.capacity);
+  int proc = 0;
+  for (const auto& gaps : mix.senders) sim.spawn(chan_sender(sim, ch, gaps, proc++, log));
+  for (const auto& gaps : mix.receivers) sim.spawn(chan_receiver(sim, ch, gaps, proc++, log));
+  sim.spawn(chan_closer(sim, ch, mix.close_at));
+  sim.run();
+  EXPECT_EQ(sim.live_root_tasks(), 0u);
+  perf = sim.perf();
+  if (reparks != nullptr) {
+    if constexpr (requires { ch.reparks; }) *reparks += ch.reparks;
+  }
+}
+
+TEST(ChannelWaitProperty, SameEventsAsSlowPathCoroutine) {
+  // Random mixes of 2-3 senders and 2-3 receivers on capacity-1 and
+  // capacity-2 channels. Gaps sit on a 0.25 s grid (zero included), so
+  // operations tie constantly: a woken waiter often finds that a process
+  // running earlier at the same instant took the slot or the value, and
+  // parks again. The close lands partway through and wakes whoever is
+  // parked then. Each mix runs on sim::Channel and on the slow-path
+  // reference: the logs and the kernel counters must match exactly.
+  int reparks = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    util::Rng rng(seed);
+    ChanMix mix;
+    mix.capacity = static_cast<std::size_t>(rng.uniform_int(1, 2));
+    auto gaps = [&rng](int n) {
+      std::vector<double> g;
+      for (int i = 0; i < n; ++i) g.push_back(0.25 * static_cast<double>(rng.uniform_int(0, 2)));
+      return g;
+    };
+    const int senders = static_cast<int>(rng.uniform_int(2, 3));
+    const int receivers = static_cast<int>(rng.uniform_int(2, 3));
+    for (int i = 0; i < senders; ++i) {
+      mix.senders.push_back(gaps(static_cast<int>(rng.uniform_int(2, 8))));
+    }
+    for (int i = 0; i < receivers; ++i) {
+      mix.receivers.push_back(gaps(static_cast<int>(rng.uniform_int(1, 3))));
+    }
+    mix.close_at = 0.25 * static_cast<double>(rng.uniform_int(1, 8));
+
+    std::vector<ChanRecord> parked_log, slow_log;
+    PerfCounters parked, slow;
+    run_chan_mix<Channel<int>>(mix, parked_log, parked, nullptr);
+    run_chan_mix<SlowPathChannel<int>>(mix, slow_log, slow, &reparks);
+
+    EXPECT_EQ(parked_log, slow_log) << "seed " << seed;
+    EXPECT_EQ(parked.events_dispatched, slow.events_dispatched) << "seed " << seed;
+    EXPECT_EQ(parked.fifo_pushes, slow.fifo_pushes) << "seed " << seed;
+    EXPECT_EQ(parked.heap_pushes, slow.heap_pushes) << "seed " << seed;
+    EXPECT_EQ(parked.channel_waits, slow.channel_waits) << "seed " << seed;
+    EXPECT_EQ(parked.wakeups, slow.wakeups) << "seed " << seed;
+    EXPECT_EQ(parked.channel_sends, slow.channel_sends) << "seed " << seed;
+    EXPECT_EQ(parked.channel_recvs, slow.channel_recvs) << "seed " << seed;
+    EXPECT_EQ(parked.peak_queue_depth, slow.peak_queue_depth) << "seed " << seed;
+  }
+  EXPECT_GT(reparks, 0) << "no mix made a woken waiter park again";
+}
+
+// Coroutine frames the pool handed out since `before`: every frame
+// allocation is served from a warm list, a chunk refill or the heap.
+std::uint64_t frames_since(const CoroPoolStats& before) {
+  const CoroPoolStats now = coro_pool_stats();
+  return (now.bucket_reused - before.bucket_reused) + (now.chunk_allocs - before.chunk_allocs) +
+         (now.oversize_allocs - before.oversize_allocs);
+}
+
+// n park/wake cycles each of a channel recv, a channel send and a
+// contended use(), on one fixed set of processes; returns the frames
+// the whole run took.
+std::uint64_t frames_for_park_cycles(int n) {
+  const CoroPoolStats before = coro_pool_stats();
+  {
+    Simulator sim;
+    Channel<int> to_recv(sim, 1);  // stays empty: every recv parks
+    Channel<int> to_send(sim, 1);  // stays full: every send after the first parks
+    Resource res(sim, 1, "contended");
+    sim.spawn([](Channel<int>& ch, int cycles) -> Task<void> {
+      for (int i = 0; i < cycles; ++i) (void)co_await ch.recv();
+    }(to_recv, n));
+    sim.spawn([](Simulator& s, Channel<int>& ch, int cycles) -> Task<void> {
+      for (int i = 0; i < cycles; ++i) {
+        co_await s.delay(1.0);
+        co_await ch.send(i);
+      }
+    }(sim, to_recv, n));
+    sim.spawn([](Channel<int>& ch, int cycles) -> Task<void> {
+      for (int i = 0; i <= cycles; ++i) co_await ch.send(i);
+    }(to_send, n));
+    sim.spawn([](Simulator& s, Channel<int>& ch, int cycles) -> Task<void> {
+      for (int i = 0; i <= cycles; ++i) {
+        co_await s.delay(1.0);
+        (void)co_await ch.recv();
+      }
+    }(sim, to_send, n));
+    for (int p = 0; p < 2; ++p) {
+      sim.spawn([](Resource& r, int cycles) -> Task<void> {
+        for (int i = 0; i < cycles; ++i) co_await r.use(1.0);
+      }(res, n));
+    }
+    sim.run();
+    EXPECT_EQ(sim.live_root_tasks(), 0u);
+    EXPECT_EQ(sim.perf().channel_waits, 2u * static_cast<std::uint64_t>(n));
+    EXPECT_EQ(sim.now(), 2.0 * n);  // the two users' holds never overlapped
+  }
+  return frames_since(before);
+}
+
+TEST(ParkedWaits, TakeNoCoroutineFrame) {
+  // The processes' own frames are a fixed cost; a wait that took a frame
+  // would add one per cycle.
+  const std::uint64_t n_cycles = frames_for_park_cycles(100);
+  const std::uint64_t two_n_cycles = frames_for_park_cycles(200);
+  EXPECT_EQ(n_cycles, two_n_cycles);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -243,6 +244,33 @@ TEST(RunSweep, ResultsKeepPointOrderAcrossThreadCounts) {
   auto parallel = run_sweep(points, [](const int& p) { return p * p; }, 4);
   EXPECT_EQ(sequential, parallel);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(sequential[static_cast<std::size_t>(i)], i * i);
+}
+
+TEST(ThreadPoolDefaults, ThreadCountParserTakesOnlyBoundedPositiveIntegers) {
+  // Parsing only: no pool is started for any of these values.
+  EXPECT_EQ(ThreadPool::parse_thread_count("1"), 1u);
+  EXPECT_EQ(ThreadPool::parse_thread_count("4"), 4u);
+  EXPECT_EQ(ThreadPool::parse_thread_count("0004"), 4u);
+  EXPECT_EQ(ThreadPool::parse_thread_count(std::to_string(ThreadPool::kMaxThreads)),
+            ThreadPool::kMaxThreads);
+  for (const char* bad : {"0", "-1", "abc", "2x", "", " 2", "+2", "2 ", "99999999999999999999"}) {
+    EXPECT_EQ(ThreadPool::parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ThreadPool::parse_thread_count(std::to_string(ThreadPool::kMaxThreads + 1)),
+            std::nullopt);
+}
+
+TEST(ThreadPoolDefaults, BadEnvValueThrowsNamingIt) {
+  setenv("SCSQ_BENCH_THREADS", "2x", 1);
+  try {
+    (void)ThreadPool::default_threads();
+    ADD_FAILURE() << "SCSQ_BENCH_THREADS=2x was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("SCSQ_BENCH_THREADS"), std::string::npos) << what;
+    EXPECT_NE(what.find("'2x'"), std::string::npos) << what;
+  }
+  unsetenv("SCSQ_BENCH_THREADS");
 }
 
 TEST(ThreadPoolDefaults, EnvOverrideWins) {

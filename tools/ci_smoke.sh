@@ -171,20 +171,6 @@ cmp "$TMPD/fig6_b1.txt" "$TMPD/fig6_b1_mon.txt" || {
 echo "   stdout byte-identical monitor on/off (also at batch=1);" \
      "$(wc -l < "$TMPD/fig6_alerts.jsonl") alert(s) validated"
 
-# Pending-event-set invariance: the ladder queue (the default) and the
-# binary-heap reference behind SCSQ_EVENT_QUEUE=heap must dispatch in
-# the identical (time, seq) order, so the fig6 and fig8 quick tables are
-# byte-identical across queue modes.
-echo "== SCSQ_EVENT_QUEUE heap-vs-ladder invariance =="
-SCSQ_EVENT_QUEUE=heap "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_heap.txt"
-cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_heap.txt" || {
-  echo "SCSQ_EVENT_QUEUE changed fig6 bench output"; exit 1; }
-SCSQ_EVENT_QUEUE=heap "$BUILD/bench/bench_fig8_merge" 2> /dev/null \
-  | grep -v '^\[harness\]' > "$TMPD/fig8_heap.txt"
-cmp "$TMPD/fig8_batchdef.txt" "$TMPD/fig8_heap.txt" || {
-  echo "SCSQ_EVENT_QUEUE changed fig8 bench output"; exit 1; }
-echo "   fig6/fig8 tables byte-identical heap vs ladder"
-
 # TSAN pass over the code that still starts threads: the thread pool
 # and parallel sweep helpers, the sweep harness (one Simulator per
 # worker, shared coroutine-frame chunk registry) and the registry/JSONL
@@ -211,14 +197,18 @@ if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/nu
   cmake -B "$BUILD-asan" -S . -DSCSQ_ASAN=ON > /dev/null
   cmake --build "$BUILD-asan" -j"$(nproc)" \
     --target transport_test monitor_test bench_kernels \
-    sim_queue_fuzz_test properties_test sim_test net_test bench_fig8_merge \
-    bench_fig15_inbound features_test > /dev/null
+    sim_queue_fuzz_test properties_test sim_test net_test bench_fig6_p2p \
+    bench_fig8_merge bench_fig15_inbound features_test > /dev/null
   "$BUILD-asan/tests/transport_test"
-  # Resource::use() parks its caller directly (no coroutine frame) unless
-  # it must queue, and torus messages run on compiled paths that the
+  # Channel waits and Resource::use() park the awaiter itself (no
+  # coroutine frame), and torus messages run on compiled paths that the
   # links own: the kernel and network suites check their lifetimes.
   "$BUILD-asan/tests/sim_test"
   "$BUILD-asan/tests/net_test"
+  # Fig. 6 waits on a channel twice per torus message, so it wakes more
+  # parked awaiters than any other bench; its quick table must still
+  # match the golden copy.
+  tests/golden/check.sh "$BUILD-asan/bench/bench_fig6_p2p" tests/golden/fig6_p2p.txt
   # Fig. 8 routes through an intermediate co-processor (multi-hop
   # compiled paths) and contends for it (the queued use() path); its
   # quick table must still match the golden copy.
@@ -230,9 +220,9 @@ if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/nu
   # Stopped queries drop in-flight frames on closed inboxes; the pool
   # keeps owning them, so teardown must stay clean under LeakSanitizer.
   "$BUILD-asan/tests/features_test" --gtest_filter='Stop.*'
-  # Ladder-queue differential fuzz + the zero-alloc frame-pool property
-  # under ASAN/LSAN: rung/bottom recycling and coroutine-frame reuse must
-  # be clean (no use-after-recycle, no leaked chunks at exit).
+  # Pending-event-set fuzz + the zero-alloc frame-pool property under
+  # ASAN/LSAN: heap and slab reuse across reset() and coroutine-frame
+  # reuse must be clean (no use-after-recycle, no leaked chunks at exit).
   "$BUILD-asan/tests/sim_queue_fuzz_test"
   "$BUILD-asan/tests/properties_test" --gtest_filter='CoroPool.*'
   # Monitor plans are driven by manual coroutine resumption (release/

@@ -132,14 +132,13 @@ Value parse_file(const std::string& path) {
 }
 
 /// Execution-layout gauge families: transport.frame_pool.* (host-side
-/// frame recycling counters), sim.queue.* (ladder-queue internals —
-/// rung spills and bottom resorts are zero under SCSQ_EVENT_QUEUE=heap)
-/// and sim.coro.* (process-wide coroutine-frame recycling, which
-/// accumulates across every run in the process). These describe HOW the
-/// host drove a run, not WHAT the simulation produced, and legitimately
-/// differ between builds and between runs at different SCSQ_EVENT_QUEUE
-/// even though every simulated result is byte-identical — so neither
-/// the --check floor nor the diff regression gate applies to them.
+/// frame recycling counters), sim.queue.* (event-queue internals, such
+/// as cancelled timer nodes consumed) and sim.coro.* (process-wide
+/// coroutine-frame recycling, which accumulates across every run in the
+/// process). These describe HOW the host drove a run, not WHAT the
+/// simulation produced, and legitimately differ between builds even
+/// though every simulated result is byte-identical — so neither the
+/// --check floor nor the diff regression gate applies to them.
 bool is_layout_gauge(const std::string& path) {
   return path.find("transport.frame_pool.") != std::string::npos ||
          path.find("sim.queue.") != std::string::npos ||
