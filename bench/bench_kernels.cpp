@@ -7,7 +7,6 @@
 
 #include "funcs/fft.hpp"
 #include "net/topology.hpp"
-#include "plan/builder.hpp"
 #include "plan/operators.hpp"
 #include "sim/channel.hpp"
 #include "sim/resource.hpp"
@@ -374,7 +373,7 @@ BENCHMARK_CAPTURE(BM_EventQueue, cancel_heavy, 3);
 // Batch-at-a-time SQEP execution. These measure the host-side cost per
 // simulated stream item through real operator pipelines — the per-item
 // coroutine tower (depth 1, the pre-batching seed path) against the
-// batched/fused path (depth 256). Simulated results and timestamps are
+// batched path (depth 256). Simulated results and timestamps are
 // identical in both modes; only items/s (host wall clock) changes.
 // ---------------------------------------------------------------------
 
@@ -425,7 +424,6 @@ void BM_OperatorPipeline(benchmark::State& state, const char* mode) {
     scsq::plan::PlanContext ctx;
     ctx.sim = &sim;
     ctx.cpu = &cpu;
-    ctx.batch_size = depth;
     std::uint64_t items = 0;
     if (which == "passthrough") {
       // streamof over a receive: the minimal stateless chain, fed with
@@ -437,21 +435,6 @@ void BM_OperatorPipeline(benchmark::State& state, const char* mode) {
       sim.spawn(drive_operator(root, depth, items));
       sim.run();
       items_per_iter = kPipeFrames * kPipeObjectsPerFrame;
-    } else if (which == "fused_count") {
-      // count(gen_array(...)) through the real builder: per-item it is
-      // CountOp over GenArrayOp; at depth > 1 the fusion pass collapses
-      // it into one FusedPipelineOp.
-      constexpr std::int64_t kGenItems = 10'000;
-      ctx.const_eval = [](const scsq::scsql::ExprPtr& e) { return e->literal; };
-      auto expr = scsq::scsql::make_call(
-          "count", {scsq::scsql::make_call(
-                       "gen_array", {scsq::scsql::make_literal(Object{64}),
-                                     scsq::scsql::make_literal(Object{kGenItems})})});
-      auto root = scsq::plan::build_plan(expr, ctx);
-      sim.spawn(drive_operator(*root, depth, items));
-      sim.run();
-      items = kGenItems;  // one result object; count consumed items
-      items_per_iter = kGenItems;
     } else {  // merge
       scsq::transport::ReceiverDriver d1(sim, scsq::transport::DriverParams{}, cpu);
       scsq::transport::ReceiverDriver d2(sim, scsq::transport::DriverParams{}, cpu);
@@ -467,7 +450,6 @@ void BM_OperatorPipeline(benchmark::State& state, const char* mode) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * items_per_iter);
 }
 BENCHMARK_CAPTURE(BM_OperatorPipeline, passthrough, "passthrough")->Arg(1)->Arg(256);
-BENCHMARK_CAPTURE(BM_OperatorPipeline, fused_count, "fused_count")->Arg(1)->Arg(256);
 BENCHMARK_CAPTURE(BM_OperatorPipeline, merge, "merge")->Arg(1)->Arg(256);
 
 void BM_ChannelPingPong(benchmark::State& state) {

@@ -1,12 +1,13 @@
 #include "exec/engine.hpp"
 
-#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 #include "exec/eval.hpp"
 #include "exec/substitute.hpp"
 #include "resolve/binder.hpp"
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace scsq::exec {
 
@@ -31,16 +32,12 @@ std::size_t resolve_batch_size(std::size_t configured) {
   if (configured != 0) return configured;
   const char* env = std::getenv("SCSQ_BATCH_SIZE");
   if (env == nullptr || *env == '\0') return kDefaultBatchSize;
-  // Digits only: strtoull also takes leading blanks and a sign ("-1"
-  // wraps around to a huge depth).
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (*env < '0' || *env > '9' || *end != '\0' || errno == ERANGE || v < 1) {
+  const auto v = util::parse_uint(env, 1, std::numeric_limits<std::size_t>::max());
+  if (!v) {
     throw Error(std::string("SCSQ_BATCH_SIZE must be a positive integer, got '") + env +
                 "' (unset the variable for the default of 256)");
   }
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(*v);
 }
 
 /// sample_interval_s < 0 means "resolve from the environment":
@@ -441,13 +438,13 @@ void Engine::on_window(const obs::Sampler::Window& window, std::size_t index) {
 void Engine::run_monitor(Monitor& monitor, const plan::IntrospectFeed& feed,
                          bool dry_run) {
   // Zero-perturbation contract: all NodeParams costs are zero, the CPU
-  // resource is private and uncontended, and batch_size is 1 (no fusion
-  // pass). Every awaitable the operator machinery reaches then completes
-  // inline — Resource::acquire with a free slot, delay_until(now) — so
-  // the plan is drained synchronously below by resuming each next() once
-  // and never schedules a simulator event. The measured workload's event
-  // order, tables and elapsed_s are byte-identical with monitors on or
-  // off.
+  // resource is private and uncontended, and the plan is pulled one item
+  // at a time. Every awaitable the operator machinery reaches then
+  // completes inline — Resource::acquire with a free slot,
+  // delay_until(now) — so the plan is drained synchronously below by
+  // resuming each next() once and never schedules a simulator event. The
+  // measured workload's event order, tables and elapsed_s are
+  // byte-identical with monitors on or off.
   hw::NodeParams zero;
   zero.marshal_per_byte_s = 0.0;
   zero.alloc_per_object_s = 0.0;
@@ -461,7 +458,6 @@ void Engine::run_monitor(Monitor& monitor, const plan::IntrospectFeed& feed,
   ctx.loc = hw::Location{hw::kFrontEnd, 0};
   ctx.cpu = &cpu;
   ctx.node = zero;
-  ctx.batch_size = 1;
   ctx.introspect = &feed;
   ctx.const_eval = [this, &env](const ExprPtr& e) { return eval_const(e, env, machine_); };
   ctx.subscribe = [](const SpHandle&) -> transport::ReceiverDriver& {
@@ -861,7 +857,6 @@ void Engine::wire_rp(Rp& rp) {
   rp.ctx.loc = rp.loc;
   rp.ctx.cpu = &machine_->cpu_of(rp.loc);
   rp.ctx.node = machine_->node_params(rp.loc);
-  rp.ctx.batch_size = options_.batch_size;
   rp.ctx.const_eval = [this, &rp](const ExprPtr& e) {
     return eval_const(e, rp.env, machine_);
   };

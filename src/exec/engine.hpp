@@ -67,7 +67,7 @@ struct ExecOptions {
   /// Batch depth for batch-at-a-time SQEP execution. 0 = resolve from
   /// the SCSQ_BATCH_SIZE environment variable at engine construction
   /// (default 256; a value that is not a positive integer is an
-  /// scsql::Error); 1 = exact per-item execution with no fusion pass.
+  /// scsql::Error); 1 = exact per-item execution.
   /// Simulated timing is bitwise-identical at every depth — only the
   /// host-side work per simulated item changes.
   std::size_t batch_size = 0;

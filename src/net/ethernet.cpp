@@ -69,22 +69,4 @@ double EthernetFabric::sender_imbalance_factor(int src) const {
   return host.imbalance;
 }
 
-sim::Task<void> EthernetFabric::transfer(FlowId id, std::uint64_t bytes) {
-  const auto it = flows_.find(id);
-  SCSQ_CHECK(it != flows_.end()) << "transfer on unknown flow " << id;
-  const int src = it->second.src;
-  const int dst = it->second.dst;
-
-  const double wire = wire_time(bytes);
-  // Sender NIC: per-message overhead plus wire time, inflated by the
-  // head-of-line imbalance factor (evaluated per message so it tracks
-  // flows opening/closing during a run).
-  const double tx_time =
-      params_.per_message_overhead_s + wire * sender_imbalance_factor(src);
-  co_await tx_nic(src).use(tx_time);
-  // Receiver NIC: wire time (the switch is non-blocking; GigE ports are
-  // the contended points).
-  co_await rx_nic(dst).use(wire);
-}
-
 }  // namespace scsq::net

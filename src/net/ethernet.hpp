@@ -26,7 +26,6 @@
 
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
 
 namespace scsq::net {
 
@@ -64,11 +63,6 @@ class EthernetFabric {
   FlowId open_flow(int src, int dst);
   void close_flow(FlowId id);
 
-  /// Transfers one message over an open flow; completes when the
-  /// destination NIC has received all bytes. Per-flow ordering holds
-  /// because NIC resources are FIFO.
-  sim::Task<void> transfer(FlowId id, std::uint64_t bytes);
-
   /// Number of distinct source hosts with open flows into I/O-node
   /// hosts (drives the I/O forwarding coordination factor in hw).
   /// Memoized: recomputed only after open_flow/close_flow changed the
@@ -90,6 +84,15 @@ class EthernetFabric {
   /// Wire time for `bytes` at TCP goodput rate (before penalty factors).
   double wire_time(std::uint64_t bytes) const {
     return static_cast<double>(bytes) / (params_.nic_bandwidth_Bps * params_.tcp_efficiency);
+  }
+
+  /// How long one message of `bytes` holds `host`'s tx NIC: the
+  /// per-message overhead plus the wire time, inflated by the
+  /// head-of-line imbalance factor (read per message, so it tracks flows
+  /// opening and closing during a run). The receiving NIC is held for
+  /// wire_time(bytes); the switch is non-blocking.
+  double tx_time(int host, std::uint64_t bytes) const {
+    return params_.per_message_overhead_s + wire_time(bytes) * sender_imbalance_factor(host);
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "plan/builder.hpp"
 
-#include "plan/fusion.hpp"
 #include "plan/introspect_ops.hpp"
 #include "plan/lroad_ops.hpp"
 #include "plan/operators.hpp"
@@ -142,11 +141,6 @@ OperatorPtr build_plan(const ExprPtr& expr, PlanContext& ctx) {
     case ExprKind::kCall:
       break;
   }
-
-  // Fusion pass: collapse a stateless chain into one batched operator
-  // when batch execution is on. Falls through to the regular per-op
-  // build (and its error reporting) whenever the shape doesn't match.
-  if (auto fused = try_build_fused(expr, ctx)) return fused;
 
   const auto& name = expr->name;
   if (name == "extract") return build_extract(*expr, ctx);

@@ -1,16 +1,14 @@
-// Per-item CPU cost expressions of the SQEP operators, shared between
-// the per-item execution path (operators.cpp) and the fused/batched
-// path (fusion.cpp).
+// Per-item CPU cost expressions of the SQEP operators, one definition
+// each.
 //
 // Batch execution must stay byte-identical to per-item execution at any
-// batch depth, which means the *expressions* feeding the simulated CPU
-// charges must be the exact same floating-point computations in both
-// paths — a fused operator folding `op_invoke_s + n * flop_s` may not
-// restate it as `op_invoke_s + flop_s * n`. Centralizing every per-item
-// charge here is the audit: operators.cpp contains no inline cost
-// arithmetic for the fusable operators, so the regression test
-// (batch_test.cpp) asserting equal accumulated CPU seconds pins both
-// paths to one definition.
+// batch depth. A batched source charges n items with one
+// Resource::use_repeated(per, n) hold, which lands on the end time of n
+// per-item use(per) calls only if `per` is the exact floating-point
+// expression the per-item path charges. Keeping every per-item charge
+// here is the audit: operators.cpp contains no inline cost arithmetic,
+// so the regression test (batch_test.cpp) asserting equal accumulated
+// CPU seconds at every batch size pins both paths to one definition.
 #pragma once
 
 #include <cmath>

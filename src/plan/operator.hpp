@@ -39,10 +39,6 @@ struct PlanContext {
   hw::Location loc;
   sim::Resource* cpu = nullptr;  // compute CPU of the RP's node
   hw::NodeParams node;
-  /// Batch depth for batch-at-a-time execution. 1 = per-item execution
-  /// (the exact pre-batching pipeline, and no fusion pass); the engine
-  /// plumbs ExecOptions::batch_size / SCSQ_BATCH_SIZE here.
-  std::size_t batch_size = 1;
 
   /// Introspection feed for monitor queries over system.metrics /
   /// system.gauges / system.rates. Non-null only inside a

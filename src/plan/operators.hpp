@@ -145,14 +145,14 @@ class ArrayMapOp final : public Operator {
   sim::Task<std::optional<catalog::Object>> next() override;
   std::string name() const override { return fn_name(stage_.fn); }
 
+ private:
   static const char* fn_name(Fn fn);
 
   /// The real array `stage` maps over. Any other kind of object is an
   /// scsql::Error naming the function, the kind it got and the call's
-  /// source position (the fused pipeline checks its stages with it too).
+  /// source position.
   static const std::vector<double>& input(const Stage& stage, const catalog::Object& obj);
 
- private:
   PlanContext* ctx_;
   Stage stage_;
   OperatorPtr child_;

@@ -236,22 +236,4 @@ class Resource {
   double episode_start_ = 0.0;
 };
 
-/// RAII guard releasing a Resource on scope exit. Use as:
-///   co_await res.acquire();
-///   ResourceLock lock(res);
-class ResourceLock {
- public:
-  explicit ResourceLock(Resource& res) : res_(&res) {}
-  ResourceLock(ResourceLock&& other) noexcept : res_(other.res_) { other.res_ = nullptr; }
-  ResourceLock(const ResourceLock&) = delete;
-  ResourceLock& operator=(const ResourceLock&) = delete;
-  ResourceLock& operator=(ResourceLock&&) = delete;
-  ~ResourceLock() {
-    if (res_) res_->release();
-  }
-
- private:
-  Resource* res_;
-};
-
 }  // namespace scsq::sim

@@ -91,9 +91,7 @@ void TcpToBgLink::close_flow() {
 
 sim::Task<void> TcpToBgLink::src_transmit(Frame* frame, sim::Resource& send_slots) {
   auto& fabric = machine_->fabric();
-  const double wire = fabric.wire_time(frame->bytes);
-  const double tx_time = fabric.params().per_message_overhead_s +
-                         wire * fabric.sender_imbalance_factor(src_host_);
+  const double tx_time = fabric.tx_time(src_host_, frame->bytes);
   // Claim + announce + use share this event: the claimed completion time
   // is bitwise-identical to the clock after use().
   auto& tx = fabric.tx_nic(src_host_);
@@ -150,9 +148,7 @@ sim::Task<void> TcpFromBgLink::src_transmit(Frame* frame, sim::Resource& send_sl
                                                   /*io_factor=*/1.0);
   send_slots.release();
   auto& fabric = machine_->fabric();
-  const double wire = fabric.wire_time(frame->bytes);
-  const double tx_time = fabric.params().per_message_overhead_s +
-                         wire * fabric.sender_imbalance_factor(io_host_);
+  const double tx_time = fabric.tx_time(io_host_, frame->bytes);
   auto& tx = fabric.tx_nic(io_host_);
   const double t1 = tx.claim(tx_time);
   announce_delivery(t1, frame);
@@ -192,9 +188,7 @@ void TcpPlainLink::close_flow() {
 
 sim::Task<void> TcpPlainLink::src_transmit(Frame* frame, sim::Resource& send_slots) {
   auto& fabric = machine_->fabric();
-  const double wire = fabric.wire_time(frame->bytes);
-  const double tx_time = fabric.params().per_message_overhead_s +
-                         wire * fabric.sender_imbalance_factor(src_host_);
+  const double tx_time = fabric.tx_time(src_host_, frame->bytes);
   auto& tx = fabric.tx_nic(src_host_);
   const double t1 = tx.claim(tx_time);
   announce_delivery(t1, frame);

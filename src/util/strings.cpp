@@ -55,4 +55,19 @@ bool contains(std::string_view text, std::string_view pattern) {
   return text.find(pattern) != std::string_view::npos;
 }
 
+std::optional<std::uint64_t> parse_uint(std::string_view text, std::uint64_t lo,
+                                        std::uint64_t hi) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t n = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    // n * 10 + digit > hi, asked without overflowing.
+    if (digit > hi || n > (hi - digit) / 10) return std::nullopt;
+    n = n * 10 + digit;
+  }
+  if (n < lo) return std::nullopt;
+  return n;
+}
+
 }  // namespace scsq::util

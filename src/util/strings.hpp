@@ -1,6 +1,8 @@
 // Small string utilities shared across SCSQ modules.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,5 +29,11 @@ std::string to_lower(std::string_view text);
 /// substring (used by the SCSQL grep() builtin; the paper's grep is a
 /// pattern scan over file lines).
 bool contains(std::string_view text, std::string_view pattern);
+
+/// Parses an integer setting: decimal digits only, from `lo` to `hi`.
+/// Anything else (empty text, a sign, blanks, trailing text, a value
+/// out of range) is nullopt. The parser for every SCSQ_* integer.
+std::optional<std::uint64_t> parse_uint(std::string_view text, std::uint64_t lo,
+                                        std::uint64_t hi);
 
 }  // namespace scsq::util

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/logging.hpp"
+#include "util/strings.hpp"
 
 namespace scsq::util {
 
@@ -67,22 +68,10 @@ void ThreadPool::worker_loop() {
   }
 }
 
-std::optional<unsigned> ThreadPool::parse_thread_count(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  unsigned n = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    n = n * 10 + static_cast<unsigned>(c - '0');
-    if (n > kMaxThreads) return std::nullopt;  // also stops any overflow
-  }
-  if (n < 1) return std::nullopt;
-  return n;
-}
-
 unsigned ThreadPool::default_threads() {
   const char* env = std::getenv("SCSQ_BENCH_THREADS");
   if (env != nullptr && *env != '\0') {
-    if (const auto n = parse_thread_count(env)) return *n;
+    if (const auto n = parse_uint(env, 1, kMaxThreads)) return static_cast<unsigned>(*n);
     throw std::invalid_argument("SCSQ_BENCH_THREADS must be an integer from 1 to " +
                                 std::to_string(kMaxThreads) + ", got '" + env +
                                 "' (unset the variable to use every core)");

@@ -1,12 +1,12 @@
 // Batch-at-a-time execution regression suite.
 //
-// The load-bearing invariant of the batching/fusion PR: simulated time,
-// results, byte counts, and per-RP CPU seconds are identical at every
-// SCSQ_BATCH_SIZE. Batching is a host-side optimization of *how* the
-// per-item cost charges are folded, never of *what* they add up to.
+// The load-bearing invariant of batch-at-a-time execution: simulated
+// time, results, byte counts, and per-RP CPU seconds are identical at
+// every SCSQ_BATCH_SIZE. Batching is a host-side optimization of *how*
+// the per-item cost charges are folded, never of *what* they add up to.
 // These tests pin that invariant for the paper's query shapes (fig6
-// point-to-point, fig8 merge trees, fig15 inbound TCP trees) and for the
-// fused local pipelines, plus unit tests of the batch plumbing itself
+// point-to-point, fig8 merge trees, fig15 inbound TCP trees) and for
+// local pipelines, plus unit tests of the batch plumbing itself
 // (ItemBatch recycling, frame-granular receive batching, EOS-mid-batch
 // delivery).
 #include <gtest/gtest.h>
@@ -134,16 +134,16 @@ TEST(BatchInvariance, BackEndToSecondPset) {
       "and a=sp(gen_array(50000,6),'be',1);");
 }
 
-TEST(BatchInvariance, LocalFusedCount) {
-  // count(gen_array) on one node: fuses into one FusedPipelineOp when
-  // batch > 1; timing must not move.
+TEST(BatchInvariance, LocalCount) {
+  // count(gen_array) on one node, extracted by the client: timing must
+  // not move with the client's pull depth.
   expect_batch_invariant(
       "select extract(b) from sp b "
       "where b=sp(count(gen_array(1000, 7)), 'be');");
 }
 
 TEST(BatchInvariance, SumOverReceivedStream) {
-  // sum's int->real promotion is replicated exactly in the fused path.
+  // sum over a received int stream on the front end.
   expect_batch_invariant(
       "select extract(b) from sp a, sp b "
       "where b=sp(sum(extract(a)), 'fe') "
@@ -151,8 +151,8 @@ TEST(BatchInvariance, SumOverReceivedStream) {
 }
 
 TEST(BatchInvariance, StatelessOddChain) {
-  // An ArrayMap stage (odd) over a received signal stream — fusable
-  // without a terminal; array results flow all the way to the client.
+  // An ArrayMap stage (odd) over a received signal stream, with no
+  // terminal: array results flow all the way to the client.
   auto run_odd = [](std::size_t batch) {
     ScsqConfig config;
     config.exec.batch_size = batch;
@@ -197,43 +197,18 @@ TEST(BatchInvariance, ResultValuesAreCorrect) {
 }
 
 // ---------------------------------------------------------------------
-// Fusion pass engagement
+// Batch depth: reporting and the environment knob
 // ---------------------------------------------------------------------
 
-bool any_fused_node(const obs::Profile& profile) {
-  for (const auto& n : profile.nodes) {
-    if (n.op.find("fused") != std::string::npos) return true;
-  }
-  return false;
-}
-
-TEST(Fusion, EngagesOnlyWhenBatched) {
-  const std::string script =
-      "select extract(b) from sp b "
-      "where b=sp(count(gen_array(1000, 7)), 'be');";
-  {
-    ScsqConfig config;
-    config.exec.batch_size = 256;
-    Scsq scsq(config);
-    auto r = scsq.run(script);
-    EXPECT_TRUE(any_fused_node(scsq.engine().profile(r)));
-  }
-  {
-    ScsqConfig config;
-    config.exec.batch_size = 1;
-    Scsq scsq(config);
-    auto r = scsq.run(script);
-    EXPECT_FALSE(any_fused_node(scsq.engine().profile(r)));
-  }
-}
-
-TEST(Fusion, BatchFillReportedInProfile) {
+TEST(Batching, BatchFillReportedInProfile) {
+  // The producer sends its 7 small arrays in one frame, and the client
+  // pulls whole batches: its receive node takes all 7 in one batch.
   ScsqConfig config;
   config.exec.batch_size = 256;
   Scsq scsq(config);
   auto r = scsq.run(
       "select extract(b) from sp b "
-      "where b=sp(count(gen_array(1000, 7)), 'be');");
+      "where b=sp(gen_array(1000, 7), 'be');");
   auto profile = scsq.engine().profile(r);
   bool saw_multi_fill = false;
   for (const auto& n : profile.nodes) {
@@ -242,7 +217,7 @@ TEST(Fusion, BatchFillReportedInProfile) {
   EXPECT_TRUE(saw_multi_fill);
 }
 
-TEST(Fusion, EnvKnobControlsDefaultBatchSize) {
+TEST(Batching, EnvKnobControlsDefaultBatchSize) {
   // ExecOptions::batch_size == 0 resolves from SCSQ_BATCH_SIZE. At 1,
   // every batch the roots deliver holds exactly one item.
   const std::string script =
@@ -344,7 +319,6 @@ TEST(OperatorBatching, EosRidesWithFinalItems) {
   plan::PlanContext ctx;
   ctx.sim = &sim;
   ctx.cpu = &cpu;
-  ctx.batch_size = 16;
   plan::GenArrayOp op(ctx, 100, 5);
   std::size_t got = 0;
   bool eos = false;
@@ -368,7 +342,6 @@ TEST(OperatorBatching, BatchedGenArrayMatchesPerItemTime) {
     plan::PlanContext ctx;
     ctx.sim = &sim;
     ctx.cpu = &cpu;
-    ctx.batch_size = depth;
     plan::GenArrayOp op(ctx, 4096, 37);
     std::size_t items = 0;
     sim.spawn([](plan::Operator& o, std::size_t d, std::size_t& n) -> sim::Task<void> {

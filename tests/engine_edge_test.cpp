@@ -139,8 +139,8 @@ TEST(EngineEdge, EmptyEnumerationYieldsNoProducers) {
 
 TEST(EngineEdge, ArrayTransformOfNonArrayIsAnError) {
   // gen_array streams synthetic arrays, not real ones. odd/even/fft must
-  // reject them with an scsql::Error at the call's position, both in the
-  // per-item operator (batch size 1) and in the fused pipeline.
+  // reject them with an scsql::Error at the call's position, at batch
+  // sizes 1 and 256.
   for (const std::string fn : {"odd", "even", "fft"}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
       ScsqConfig config;

@@ -76,7 +76,7 @@ RunOut run_case(bool monitored, std::size_t batch,
 // Zero-perturbation byte-identity across batch sizes
 // ---------------------------------------------------------------------
 
-TEST(MonitorInvariance, TablesIdenticalOnOffAcrossLpsAndBatch) {
+TEST(MonitorInvariance, TablesIdenticalOnOffAcrossBatch) {
   const RunOut base = run_case(/*monitored=*/false, /*batch=*/256);
   std::string monitored_alerts;
   for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {

@@ -297,12 +297,15 @@ TEST(Ethernet, TransferTiming) {
   EthernetFabric fab(sim, p);
   int a = fab.add_host("a");
   int b = fab.add_host("b");
-  auto f = fab.open_flow(a, b);
+  fab.open_flow(a, b);
   double done = -1;
-  sim.spawn([](sim::Simulator& s, EthernetFabric& fb, FlowId id, double& t) -> sim::Task<void> {
-    co_await fb.transfer(id, 1'000'000);
+  // One message: the sender's tx NIC, then the receiver's rx NIC.
+  sim.spawn([](sim::Simulator& s, EthernetFabric& fb, int src, int dst,
+               double& t) -> sim::Task<void> {
+    co_await fb.tx_nic(src).use(fb.tx_time(src, 1'000'000));
+    co_await fb.rx_nic(dst).use(fb.wire_time(1'000'000));
     t = s.now();
-  }(sim, fab, f, done));
+  }(sim, fab, a, b, done));
   sim.run();
   double wire = 1e6 / (p.nic_bandwidth_Bps * p.tcp_efficiency);
   EXPECT_NEAR(done, p.per_message_overhead_s + 2 * wire, 1e-12);
@@ -420,14 +423,17 @@ TEST(Ethernet, NicContentionSharesBandwidth) {
   int a = fab.add_host("a");
   int b = fab.add_host("b");
   int c = fab.add_host("c");
-  auto fab_send = [](EthernetFabric& fb, FlowId id, int msgs) -> sim::Task<void> {
-    for (int i = 0; i < msgs; ++i) co_await fb.transfer(id, 1'000'000);
+  auto fab_send = [](EthernetFabric& fb, int src, int dst, int msgs) -> sim::Task<void> {
+    for (int i = 0; i < msgs; ++i) {
+      co_await fb.tx_nic(src).use(fb.tx_time(src, 1'000'000));
+      co_await fb.rx_nic(dst).use(fb.wire_time(1'000'000));
+    }
   };
   // Two flows out of the same host 'a' contend for a.tx.
-  auto f1 = fab.open_flow(a, b);
-  auto f2 = fab.open_flow(a, c);
-  sim.spawn(fab_send(fab, f1, 10));
-  sim.spawn(fab_send(fab, f2, 10));
+  fab.open_flow(a, b);
+  fab.open_flow(a, c);
+  sim.spawn(fab_send(fab, a, b, 10));
+  sim.spawn(fab_send(fab, a, c, 10));
   double elapsed = sim.run();
   double wire = 1e6 / (p.nic_bandwidth_Bps * p.tcp_efficiency);
   // 20 MB through one tx NIC: at least 20 wire times.

@@ -297,7 +297,7 @@ exec::RunReport run_sampled(const std::string& script, double interval) {
   return scsq.run(script);
 }
 
-TEST(SamplerInvariance, TablesIdenticalOnOffAcrossLps) {
+TEST(SamplerInvariance, TablesIdenticalOnOff) {
   const std::string script =
       "select extract(b) from sp a, sp b"
       " where b=sp(streamof(count(extract(a))),'bg',0)"

@@ -1,6 +1,7 @@
 #!/bin/sh
 # A bad engine setting must end scsql_shell with "scsql error: ..." on
-# stderr and exit status 1, never an abort.
+# stderr and exit status 1, never an abort or a run with a value it was
+# not given. The error names the variable and the value.
 #
 # Usage: tests/shell_bad_config.sh <scsql_shell-binary>
 set -u
@@ -12,7 +13,8 @@ status=0
 check() {
   err=$(printf '%s\n' "$query" | env "$1" "$shell" 2>&1 > /dev/null)
   rc=$?
-  if [ "$rc" -ne 1 ] || ! printf '%s\n' "$err" | grep -q '^scsql error: '; then
+  if [ "$rc" -ne 1 ] ||
+     ! printf '%s\n' "$err" | grep -q "^scsql error: .*${1%%=*}.*'${1#*=}'"; then
     echo "$1: exit status $rc, stderr: $err"
     status=1
   fi
@@ -23,4 +25,9 @@ check SCSQ_SAMPLE_INTERVAL=abc
 check SCSQ_BATCH_SIZE=0
 check SCSQ_BATCH_SIZE=-1
 check SCSQ_BATCH_SIZE=abc
+check SCSQ_BUFFER_BYTES=64k
+check SCSQ_BUFFER_BYTES=-1
+check SCSQ_SEND_BUFFERS=4294967297
+check SCSQ_MAX_RESULTS=abc
+check SCSQ_SMART_SELECT=yes
 exit $status

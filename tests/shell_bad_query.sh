@@ -1,8 +1,8 @@
 #!/bin/sh
 # A query that applies odd/even/fft to a stream of anything but real
 # arrays must end scsql_shell with "scsql error: ..." on stderr and exit
-# status 1, never an abort, on both the per-item operator path
-# (SCSQ_BATCH_SIZE=1) and the fused pipeline (the default depth).
+# status 1, never an abort, both with every pull one item deep
+# (SCSQ_BATCH_SIZE=1) and at the default depth.
 #
 # Usage: tests/shell_bad_query.sh <scsql_shell-binary>
 set -u

@@ -299,9 +299,8 @@ TEST(Resource, FifoGrantOrder) {
   std::vector<int> grant_order;
   auto worker = [](Resource& r, std::vector<int>& order, int id) -> Task<void> {
     co_await r.acquire();
-    ResourceLock lock(r);
     order.push_back(id);
-    co_return;
+    r.release();
   };
   for (int i = 0; i < 5; ++i) sim.spawn(worker(res, grant_order, i));
   sim.run();
@@ -318,31 +317,6 @@ TEST(Resource, UtilizationTracksBusyTime) {
   sim.run();
   EXPECT_NEAR(res.busy_seconds(), 1.0, 1e-12);
   EXPECT_NEAR(res.utilization(), 0.5, 1e-12);
-}
-
-TEST(Resource, LockReleasesOnScopeExit) {
-  Simulator sim;
-  Resource res(sim, 1);
-  std::vector<double> times;
-  sim.spawn([](Simulator& s, Resource& r, std::vector<double>& t) -> Task<void> {
-    {
-      co_await r.acquire();
-      ResourceLock lock(r);
-      co_await s.delay(1.0);
-    }
-    t.push_back(s.now());
-  }(sim, res, times));
-  sim.spawn([](Simulator& s, Resource& r, std::vector<double>& t) -> Task<void> {
-    co_await r.acquire();
-    ResourceLock lock(r);
-    t.push_back(s.now());
-    co_await s.delay(0.5);
-  }(sim, res, times));
-  sim.run();
-  ASSERT_EQ(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 1.0);  // first worker done at t=1
-  EXPECT_DOUBLE_EQ(times[1], 1.0);  // second acquired right after release
-  EXPECT_EQ(res.in_use(), 0);
 }
 
 TEST(Simulator, ManyProcessesComplete) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -64,6 +66,23 @@ TEST(Strings, ToLowerAndContains) {
   EXPECT_EQ(to_lower("SeLeCt"), "select");
   EXPECT_TRUE(contains("needle in haystack", "in hay"));
   EXPECT_FALSE(contains("abc", "abd"));
+}
+
+TEST(Strings, ParseUintTakesDigitsWithinBounds) {
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(parse_uint("0", 0, 1), 0u);
+  EXPECT_EQ(parse_uint("1", 0, 1), 1u);
+  for (const char* bad : {"2", "10", "yes", "1.0", "0x1"}) {
+    EXPECT_EQ(parse_uint(bad, 0, 1), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_uint("18446744073709551615", 0, kMax), kMax);
+  EXPECT_EQ(parse_uint("18446744073709551616", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("184467440737095516150", 0, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("2147483647", 1, 2147483647), 2147483647u);
+  EXPECT_EQ(parse_uint("4294967297", 1, 2147483647), std::nullopt);
+  EXPECT_EQ(parse_uint("64k", 1, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("-1", 1, kMax), std::nullopt);
+  EXPECT_EQ(parse_uint("0", 1, kMax), std::nullopt);
 }
 
 TEST(Stats, MeanAndStdev) {
@@ -247,17 +266,17 @@ TEST(RunSweep, ResultsKeepPointOrderAcrossThreadCounts) {
 }
 
 TEST(ThreadPoolDefaults, ThreadCountParserTakesOnlyBoundedPositiveIntegers) {
-  // Parsing only: no pool is started for any of these values.
-  EXPECT_EQ(ThreadPool::parse_thread_count("1"), 1u);
-  EXPECT_EQ(ThreadPool::parse_thread_count("4"), 4u);
-  EXPECT_EQ(ThreadPool::parse_thread_count("0004"), 4u);
-  EXPECT_EQ(ThreadPool::parse_thread_count(std::to_string(ThreadPool::kMaxThreads)),
-            ThreadPool::kMaxThreads);
+  // SCSQ_BENCH_THREADS's bounds through the shared parser. Parsing only:
+  // no pool is started for any of these values.
+  constexpr unsigned kMax = ThreadPool::kMaxThreads;
+  EXPECT_EQ(parse_uint("1", 1, kMax), 1u);
+  EXPECT_EQ(parse_uint("4", 1, kMax), 4u);
+  EXPECT_EQ(parse_uint("0004", 1, kMax), 4u);
+  EXPECT_EQ(parse_uint(std::to_string(kMax), 1, kMax), kMax);
   for (const char* bad : {"0", "-1", "abc", "2x", "", " 2", "+2", "2 ", "99999999999999999999"}) {
-    EXPECT_EQ(ThreadPool::parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
+    EXPECT_EQ(parse_uint(bad, 1, kMax), std::nullopt) << "'" << bad << "'";
   }
-  EXPECT_EQ(ThreadPool::parse_thread_count(std::to_string(ThreadPool::kMaxThreads + 1)),
-            std::nullopt);
+  EXPECT_EQ(parse_uint(std::to_string(kMax + 1), 1, kMax), std::nullopt);
 }
 
 TEST(ThreadPoolDefaults, BadEnvValueThrowsNamingIt) {

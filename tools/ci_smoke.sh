@@ -87,19 +87,6 @@ validate_json "$TMPD/fig6_profile.jsonl"
 echo "   profile JSONL ok ($(wc -l < "$TMPD/fig6_profile.jsonl") records), stdout byte-identical"
 "$BUILD/tools/metrics_diff" --check-profile "$TMPD/fig6_profile.jsonl"
 
-# Batch-execution invariance: the fig8 quick tables must be byte-
-# identical with batching disabled (SCSQ_BATCH_SIZE=1, the exact
-# per-item path) and at the default batch size. Only the [harness]
-# banner line may differ — it reports host wall clock.
-echo "== bench_fig8_merge batch invariance =="
-SCSQ_BATCH_SIZE=1 "$BUILD/bench/bench_fig8_merge" 2> /dev/null \
-  | grep -v '^\[harness\]' > "$TMPD/fig8_batch1.txt"
-"$BUILD/bench/bench_fig8_merge" 2> /dev/null \
-  | grep -v '^\[harness\]' > "$TMPD/fig8_batchdef.txt"
-cmp "$TMPD/fig8_batch1.txt" "$TMPD/fig8_batchdef.txt" || {
-  echo "SCSQ_BATCH_SIZE changed bench output"; exit 1; }
-echo "   fig8 tables byte-identical at SCSQ_BATCH_SIZE=1 vs default"
-
 # Shell EXPLAIN ANALYZE smoke on the Fig. 8 merge query: the report must
 # show the plan tree, a critical path, and a 100% attribution total.
 echo "== scsql_shell explain analyze =="

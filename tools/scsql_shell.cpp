@@ -3,11 +3,12 @@
 //   $ ./tools/scsql_shell query.scsql          # run a script file
 //   $ echo "select 1+2;" | ./tools/scsql_shell # or read stdin
 //
-// Options (environment variables, mirroring ExecOptions):
+// Options (environment variables, mirroring ExecOptions; an integer
+// that is not plain digits in range is an scsql error, exit status 1):
 //   SCSQ_BUFFER_BYTES   stream buffer size (default 65536)
 //   SCSQ_SEND_BUFFERS   1 = single, 2 = double buffering (default 2)
-//   SCSQ_MAX_RESULTS    stop condition (default unlimited)
-//   SCSQ_SMART_SELECT   1 = topology-aware node selection
+//   SCSQ_MAX_RESULTS    stop condition (default 0 = unlimited)
+//   SCSQ_SMART_SELECT   1 = topology-aware node selection (default 0)
 //   SCSQ_VERBOSE        1 = per-RP monitoring dump after each query
 //   SCSQ_TRACE          path: write a Chrome-tracing JSON of the run
 //                       (open in chrome://tracing or Perfetto)
@@ -63,6 +64,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -71,12 +73,21 @@
 #include "core/scsq.hpp"
 #include "sim/trace.hpp"
 #include "util/bytes.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+/// An integer setting from [lo, hi]: `fallback` when unset or empty;
+/// anything else util::parse_uint rejects is an scsql::Error naming the
+/// variable and the value.
+std::uint64_t env_uint(const char* name, std::uint64_t fallback, std::uint64_t lo,
+                       std::uint64_t hi) {
   const char* v = std::getenv(name);
-  return v ? std::strtoull(v, nullptr, 10) : fallback;
+  if (v == nullptr || *v == '\0') return fallback;
+  if (const auto n = scsq::util::parse_uint(v, lo, hi)) return *n;
+  throw scsq::scsql::Error(std::string(name) + " must be an integer from " +
+                           std::to_string(lo) + " to " + std::to_string(hi) + ", got '" +
+                           v + "'");
 }
 
 // Ctrl-C mid-run: emit a newline so a partial \watch line does not run
@@ -237,20 +248,22 @@ int main(int argc, char** argv) {
     source = ss.str();
   }
 
-  scsq::ScsqConfig config;
-  config.exec.buffer_bytes = env_u64("SCSQ_BUFFER_BYTES", 64 * 1024);
-  config.exec.send_buffers = static_cast<int>(env_u64("SCSQ_SEND_BUFFERS", 2));
-  config.exec.max_results = static_cast<std::size_t>(env_u64("SCSQ_MAX_RESULTS", 0));
-  if (env_u64("SCSQ_SMART_SELECT", 0) != 0) {
-    config.exec.node_selection = scsq::exec::NodeSelection::kSpread;
-  }
-  const bool verbose = env_u64("SCSQ_VERBOSE", 0) != 0;
-
   std::signal(SIGINT, on_sigint);
 
-  // Everything from building the engine on can reject bad input (an
+  // Everything from reading the settings on can reject bad input (an
   // environment knob, a statement): report it as an scsql error.
   try {
+    scsq::ScsqConfig config;
+    config.exec.buffer_bytes = env_uint("SCSQ_BUFFER_BYTES", 64 * 1024, 1,
+                                        std::numeric_limits<std::uint64_t>::max());
+    config.exec.send_buffers = static_cast<int>(
+        env_uint("SCSQ_SEND_BUFFERS", 2, 1, std::numeric_limits<int>::max()));
+    config.exec.max_results = static_cast<std::size_t>(
+        env_uint("SCSQ_MAX_RESULTS", 0, 0, std::numeric_limits<std::size_t>::max()));
+    if (env_uint("SCSQ_SMART_SELECT", 0, 0, 1) == 1) {
+      config.exec.node_selection = scsq::exec::NodeSelection::kSpread;
+    }
+    const bool verbose = env_uint("SCSQ_VERBOSE", 0, 0, 1) == 1;
     scsq::Scsq scsq(config);
     scsq::sim::Trace trace;
     const char* trace_path = std::getenv("SCSQ_TRACE");
