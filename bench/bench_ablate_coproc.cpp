@@ -13,6 +13,7 @@
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Ablation A1", "source-switch penalty scaling (merge, balanced placement)");
 
   const std::vector<double> scales = {0.0, 0.5, 1.0, 2.0};

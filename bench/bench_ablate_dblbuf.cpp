@@ -13,6 +13,7 @@
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Ablation A2", "send-buffer count 1..4 (point-to-point)");
 
   const std::vector<std::uint64_t> buffer_sizes = {1000, 10000, 100000, 1000000};

@@ -35,6 +35,7 @@ std::string nodesel_query(const char* b_alloc, const char* a_alloc, int n,
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Ablation A3", "node-selection strategies for inbound streaming");
 
   struct Strategy {
@@ -49,7 +50,7 @@ int main() {
       {"psetrr+urr", "psetrr()", "urr('be')"},
   };
   const std::vector<int> ns = {1, 2, 4, 6, 8};
-  const int arrays = quick_mode() ? 10 : kFullArrays;
+  const int arrays = settings().quick ? 10 : kFullArrays;
 
   std::vector<QueryPoint> points;
   for (int n : ns) {

@@ -29,15 +29,14 @@ std::string unhinted_inbound_query(int n, std::uint64_t bytes, int arrays) {
 }
 
 double run_with_selection(const std::string& query, std::uint64_t payload,
-                          const scsq::hw::CostModel& cost,
-                          scsq::exec::NodeSelection sel) {
-  scsq::ScsqConfig cfg;
-  cfg.cost = cost;
+                          const scsq::hw::CostModel& cost, scsq::exec::NodeSelection sel,
+                          bool last) {
+  scsq::ScsqConfig cfg = scsq::bench::run_config(cost);
   cfg.exec.buffer_bytes = 64 * 1024;
   cfg.exec.node_selection = sel;
-  scsq::Scsq scsq(cfg);
-  auto report = scsq.run(query);
-  scsq::bench::harness_count_perf(scsq.sim().perf());
+  const auto report = scsq::bench::run_query(
+      cfg, query, last,
+      {{"smart_select", sel == scsq::exec::NodeSelection::kSpread ? 1.0 : 0.0}});
   return static_cast<double>(payload) * 8.0 / report.elapsed_s / 1e6;
 }
 
@@ -45,10 +44,11 @@ double run_with_selection(const std::string& query, std::uint64_t payload,
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Ablation A4", "naive vs. topology-aware node selection (no user hints)");
 
-  const int arrays = quick_mode() ? 10 : kFullArrays;
-  const int reps = quick_mode() ? 2 : kRepetitions;
+  const int arrays = settings().quick ? 10 : kFullArrays;
+  const int reps = settings().quick ? 2 : kRepetitions;
   const std::vector<int> ns = {1, 2, 3, 4, 6, 8};
 
   struct Row {
@@ -62,10 +62,11 @@ int main() {
     for (int rep = 0; rep < reps; ++rep) {
       auto cost = jittered(scsq::hw::CostModel::lofar(),
                            static_cast<std::uint64_t>(n * 100 + rep));
-      row.naive.add(
-          run_with_selection(query, payload, cost, scsq::exec::NodeSelection::kNaive));
-      row.spread.add(
-          run_with_selection(query, payload, cost, scsq::exec::NodeSelection::kSpread));
+      // The run record keeps each point's last run.
+      row.naive.add(run_with_selection(query, payload, cost,
+                                       scsq::exec::NodeSelection::kNaive, false));
+      row.spread.add(run_with_selection(query, payload, cost,
+                                        scsq::exec::NodeSelection::kSpread, rep == reps - 1));
     }
     return row;
   });

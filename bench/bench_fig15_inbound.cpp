@@ -23,10 +23,11 @@
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Figure 15", "BG inbound streaming bandwidth, Queries 1-6 vs. n");
 
   const int max_n = 8;
-  const int arrays = quick_mode() ? 10 : kFullArrays;
+  const int arrays = settings().quick ? 10 : kFullArrays;
   const std::uint64_t buffer = 64 * 1024;  // TCP path: rely on stack buffering (§3)
 
   std::vector<QueryPoint> points;

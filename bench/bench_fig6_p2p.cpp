@@ -16,6 +16,7 @@
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Figure 6", "intra-BG point-to-point bandwidth vs. buffer size");
 
   const std::vector<std::uint64_t> buffer_sizes = {

@@ -27,6 +27,7 @@ struct Placement {
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Figure 8", "intra-BG stream merging, sequential vs. balanced placement");
 
   const std::vector<std::uint64_t> buffer_sizes = {1000,   3000,   10000,  30000,

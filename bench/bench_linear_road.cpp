@@ -16,16 +16,12 @@
 namespace {
 
 double run_toll_pipeline(int vehicles, int ticks, const char* analysis_cluster,
-                         const scsq::hw::CostModel& cost) {
-  scsq::ScsqConfig cfg;
-  cfg.cost = cost;
-  scsq::Scsq scsq(cfg);
+                         const scsq::hw::CostModel& cost, bool last) {
   std::ostringstream q;
   q << "select extract(b) from sp a, sp b"
     << " where b=sp(lr_tolls(extract(a), 5), '" << analysis_cluster << "')"
     << " and a=sp(lr_source(" << vehicles << "," << ticks << ",1), 'be');";
-  auto report = scsq.run(q.str());
-  scsq::bench::harness_count_perf(scsq.sim().perf());
+  const auto report = scsq::bench::run_query(scsq::bench::run_config(cost), q.str(), last);
   return static_cast<double>(vehicles) * ticks / report.elapsed_s;
 }
 
@@ -33,10 +29,11 @@ double run_toll_pipeline(int vehicles, int ticks, const char* analysis_cluster,
 
 int main() {
   using namespace scsq::bench;
+  configure_from_env();
   print_banner("Extension", "Linear-Road-lite toll pipeline throughput");
 
-  const int ticks = quick_mode() ? 30 : 120;
-  const int reps = quick_mode() ? 2 : kRepetitions;
+  const int ticks = settings().quick ? 30 : 120;
+  const int reps = settings().quick ? 2 : kRepetitions;
   const std::vector<int> vehicle_counts = {50, 100, 200, 400, 800};
 
   struct Row {
@@ -47,8 +44,9 @@ int main() {
     for (int rep = 0; rep < reps; ++rep) {
       auto cost = jittered(scsq::hw::CostModel::lofar(),
                            static_cast<std::uint64_t>(vehicles * 10 + rep));
-      row.bg.add(run_toll_pipeline(vehicles, ticks, "bg", cost));
-      row.be.add(run_toll_pipeline(vehicles, ticks, "be", cost));
+      // The run record keeps each point's last run.
+      row.bg.add(run_toll_pipeline(vehicles, ticks, "bg", cost, false));
+      row.be.add(run_toll_pipeline(vehicles, ticks, "be", cost, rep == reps - 1));
     }
     return row;
   });

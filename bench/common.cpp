@@ -1,59 +1,80 @@
 #include "common.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
-#include <iomanip>
-#include <stdexcept>
 
 #include "sim/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace scsq::bench {
 
 namespace {
 
-// Simulated events executed by runs since the last harness_begin().
-// Relaxed atomic: worker threads only ever add their own run's total.
-std::atomic<std::uint64_t> g_sim_events{0};
-std::atomic<std::uint64_t> g_wakeups{0};
-std::atomic<std::uint64_t> g_peak_queue_depth{0};
-std::atomic<std::uint64_t> g_cancel_consumed{0};
-std::chrono::steady_clock::time_point g_harness_start;
+exec::Settings g_settings;
+std::ofstream g_record;  // open when SCSQ_RECORD is set
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
+// What a sweep point's runs leave for the harness summary and the run
+// record. Each worker writes only the slot of the point it runs;
+// sweep_points reads them after the join.
+struct PointSlot {
+  // The kernel counters of its runs, and the batch depth they ran at.
+  std::uint64_t events = 0, wakeups = 0, cancelled = 0, peak_queue_depth = 0;
+  std::size_t batch_size = 0;
+  std::string registry;    // the kept run's registry snapshot
+  std::string lines;       // record lines: the kept run's, or an error line
+  std::string trace_json;  // the first point's kept run, with SCSQ_TRACE
+  std::string error;       // the message of the error that stopped it
+};
+std::vector<PointSlot> g_points;            // one per point of the running sweep
+thread_local PointSlot* t_point = nullptr;  // the point this thread runs
+
+// Leads each record line of this thread's point: `"point":3`.
+std::string point_tag() {
+  return "\"point\":" + std::to_string(t_point - g_points.data());
+}
+
+// Whether this thread's point keeps its last run: there is a record to
+// write it to, or it is the first point and SCSQ_TRACE is set.
+bool keeping() {
+  return t_point != nullptr &&
+         (g_record.is_open() || (!g_settings.trace_path.empty() && t_point == g_points.data()));
 }
 
 }  // namespace
 
-bool quick_mode() { return std::getenv("SCSQ_BENCH_QUICK") != nullptr; }
+const exec::Settings& settings() { return g_settings; }
 
-unsigned bench_threads() {
+void configure(exec::Settings s) {
+  if (!s.monitor.empty()) {
+    // Rejected here, before any sweep, rather than on a worker thread.
+    Scsq probe(s.config);
+    exec::register_env_monitor(probe.engine(), s);
+  }
+  g_record = s.record_path.empty() ? std::ofstream() : exec::open_record(s);
+  g_settings = std::move(s);
+}
+
+void configure_from_env() {
   try {
-    return util::ThreadPool::default_threads();
-  } catch (const std::invalid_argument& e) {
+    configure(exec::from_env());
+  } catch (const scsql::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     std::exit(1);
   }
 }
 
+ScsqConfig run_config(const hw::CostModel& cost) {
+  ScsqConfig cfg;
+  cfg.cost = cost;
+  cfg.exec.batch_size = g_settings.config.exec.batch_size;
+  cfg.exec.sample_interval_s = g_settings.config.exec.sample_interval_s;
+  return cfg;
+}
+
 int arrays_for_buffer(std::uint64_t buffer_bytes) {
-  const int full = quick_mode() ? 10 : kFullArrays;
+  const int full = g_settings.quick ? 10 : kFullArrays;
   // Cap the per-producer message count around 200k.
   const std::uint64_t max_bytes = buffer_bytes * 200'000;
   const int max_arrays = static_cast<int>(std::max<std::uint64_t>(2, max_bytes / kArrayBytes));
@@ -75,218 +96,169 @@ hw::CostModel jittered(hw::CostModel cost, std::uint64_t seed) {
   return cost;
 }
 
-double run_query_mbps(const std::string& query, std::uint64_t payload_bytes,
-                      const hw::CostModel& cost, std::uint64_t buffer_bytes,
-                      int send_buffers, RunCapture* capture) {
-  ScsqConfig cfg;
-  cfg.cost = cost;
-  cfg.exec.buffer_bytes = buffer_bytes;
-  cfg.exec.send_buffers = send_buffers;
-  Scsq scsq(cfg);
-  sim::Trace trace;
-  if (capture && capture->want_trace) scsq.machine().set_trace(&trace);
-  auto report = scsq.run(query);
-  harness_count_perf(scsq.sim().perf());
-  if (capture) {
-    // Post-run: snapshotting cannot perturb the simulated timing above.
-    scsq.machine().publish_metrics();
-    std::ostringstream os;
-    scsq.machine().metrics().write_json(os);
-    capture->metrics_json = os.str();
-    if (capture->want_trace) {
-      std::ostringstream ts;
-      trace.write_json(ts);
-      capture->trace_json = ts.str();
-    }
-    if (capture->want_profile) {
-      capture->profile_json = scsq.engine().profile(report).json();
-    }
-    if (capture->want_timeseries) {
-      // Empty unless SCSQ_SAMPLE_INTERVAL armed the sampler for the run.
-      std::ostringstream ts;
-      scsq.engine().sampler().write_jsonl(ts);
-      capture->timeseries_jsonl = ts.str();
-    }
-  }
-  SCSQ_CHECK(report.elapsed_s > 0.0) << "empty run";
-  return static_cast<double>(payload_bytes) * 8.0 / report.elapsed_s / 1e6;
+namespace {
+
+// Adds a finished run to its sweep point's harness accounting (a run
+// outside a sweep is in no summary).
+void harness_count(Scsq& scsq) {
+  if (t_point == nullptr) return;
+  const sim::PerfCounters& perf = scsq.sim().perf();
+  t_point->events += perf.events_dispatched;
+  t_point->wakeups += perf.wakeups;
+  t_point->cancelled += perf.cancel_consumed;
+  t_point->peak_queue_depth = std::max(t_point->peak_queue_depth, perf.peak_queue_depth);
+  t_point->batch_size = scsq.engine().options().batch_size;
 }
 
+// Runs `query` on a fresh Scsq built from `cfg`. With `keep` (only when
+// keeping()), the finished run fills this thread's point slot; taken
+// after sim.run() returns, so timing and the tables are unaffected. A
+// statement error becomes the point's error line before it propagates.
+exec::RunReport run_engine(const ScsqConfig& cfg, const std::string& query, bool keep) {
+  Scsq scsq(cfg);
+  exec::register_env_monitor(scsq.engine(), g_settings);
+  sim::Trace trace;
+  const bool traced = keep && !g_settings.trace_path.empty() && t_point == g_points.data();
+  if (traced) scsq.machine().set_trace(&trace);
+  exec::RunReport report;
+  try {
+    report = scsq.run(query);
+  } catch (const scsql::Error& e) {
+    if (t_point != nullptr) t_point->lines += exec::error_line(point_tag(), query, e);
+    throw;
+  }
+  harness_count(scsq);
+  if (keep) {
+    t_point->registry = exec::registry_json(scsq.machine());
+    t_point->lines = exec::run_lines(scsq.engine(), report, point_tag());
+    if (traced) {
+      std::ostringstream ts;
+      trace.write_json(ts);
+      t_point->trace_json = ts.str();
+    }
+  }
+  return report;
+}
+
+// Puts the metrics line of the kept run, a run of `query`, with `fields`
+// before the point's other lines.
+void keep_metrics(const std::string& query, std::initializer_list<exec::Field> fields) {
+  t_point->lines =
+      exec::metrics_line(point_tag(), query, fields, t_point->registry) + t_point->lines;
+}
+
+// Runs `query` kRepetitions times (2 in quick mode) with `base_cost`
+// jittered per repetition and returns the Mbit/s of `payload_bytes` per
+// run. With `keep`, the last repetition is the kept run.
 util::Stats repeat_query_mbps(const std::string& query, std::uint64_t payload_bytes,
                               const hw::CostModel& base_cost, std::uint64_t buffer_bytes,
-                              int send_buffers, std::uint64_t seed_base,
-                              RunCapture* capture) {
+                              int send_buffers, std::uint64_t seed_base, bool keep) {
   util::Stats stats;
-  const int reps = quick_mode() ? 2 : kRepetitions;
+  const int reps = g_settings.quick ? 2 : kRepetitions;
   for (int rep = 0; rep < reps; ++rep) {
-    auto cost = jittered(base_cost, seed_base + static_cast<std::uint64_t>(rep) * 7919);
-    RunCapture* rep_capture = (capture && rep == reps - 1) ? capture : nullptr;
-    stats.add(run_query_mbps(query, payload_bytes, cost, buffer_bytes, send_buffers,
-                             rep_capture));
+    ScsqConfig cfg =
+        run_config(jittered(base_cost, seed_base + static_cast<std::uint64_t>(rep) * 7919));
+    cfg.exec.buffer_bytes = buffer_bytes;
+    cfg.exec.send_buffers = send_buffers;
+    const auto report = run_engine(cfg, query, keep && rep == reps - 1);
+    SCSQ_CHECK(report.elapsed_s > 0.0) << "empty run";
+    stats.add(static_cast<double>(payload_bytes) * 8.0 / report.elapsed_s / 1e6);
   }
   return stats;
 }
 
-void harness_count_events(std::uint64_t events) {
-  g_sim_events.fetch_add(events, std::memory_order_relaxed);
+}  // namespace
+
+exec::RunReport run_query(const ScsqConfig& cfg, const std::string& query, bool keep,
+                          std::initializer_list<exec::Field> fields) {
+  keep = keep && keeping();
+  auto report = run_engine(cfg, query, keep);
+  if (keep) keep_metrics(query, fields);
+  return report;
 }
 
-void harness_count_perf(const sim::PerfCounters& perf) {
-  g_sim_events.fetch_add(perf.events_dispatched, std::memory_order_relaxed);
-  g_wakeups.fetch_add(perf.wakeups, std::memory_order_relaxed);
-  g_cancel_consumed.fetch_add(perf.cancel_consumed, std::memory_order_relaxed);
-  // Running max (no fetch_max before C++26): CAS until ours is not larger.
-  std::uint64_t seen = g_peak_queue_depth.load(std::memory_order_relaxed);
-  while (perf.peak_queue_depth > seen &&
-         !g_peak_queue_depth.compare_exchange_weak(seen, perf.peak_queue_depth,
-                                                   std::memory_order_relaxed)) {
-  }
-}
-
-void harness_begin() {
-  g_sim_events.store(0, std::memory_order_relaxed);
-  g_wakeups.store(0, std::memory_order_relaxed);
-  g_peak_queue_depth.store(0, std::memory_order_relaxed);
-  g_cancel_consumed.store(0, std::memory_order_relaxed);
-  g_harness_start = std::chrono::steady_clock::now();
-}
-
-void harness_end(std::size_t points) {
-  const auto elapsed = std::chrono::steady_clock::now() - g_harness_start;
+void detail::sweep_points(std::size_t points, const std::function<void(std::size_t)>& run) {
+  g_points.assign(points, PointSlot{});
+  const auto start = std::chrono::steady_clock::now();
+  util::parallel_for(points, g_settings.threads, [&](std::size_t i) {
+    struct Scope {  // this thread runs point i until run(i) returns
+      explicit Scope(PointSlot& slot) { t_point = &slot; }
+      ~Scope() { t_point = nullptr; }
+    } scope(g_points[i]);
+    try {
+      run(i);
+    } catch (const scsql::Error& e) {
+      g_points[i].error = e.what();
+    }
+  });
   const double wall_s =
-      std::chrono::duration_cast<std::chrono::duration<double>>(elapsed).count();
-  const auto events = g_sim_events.load(std::memory_order_relaxed);
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  PointSlot sum;  // the counters of every point
+  std::string failed;
+  for (const PointSlot& slot : g_points) {
+    if (g_record.is_open()) g_record << slot.lines;
+    if (failed.empty()) failed = slot.error;
+    sum.events += slot.events;
+    sum.wakeups += slot.wakeups;
+    sum.cancelled += slot.cancelled;
+    sum.peak_queue_depth = std::max(sum.peak_queue_depth, slot.peak_queue_depth);
+    sum.batch_size = std::max(sum.batch_size, slot.batch_size);
+  }
+  const double events_per_s = wall_s > 0.0 ? static_cast<double>(sum.events) / wall_s : 0.0;
+  if (g_record.is_open()) {
+    g_record << exec::harness_line(
+                    {{"points", static_cast<double>(points)},
+                     {"threads", static_cast<double>(g_settings.threads)},
+                     {"wall_s", wall_s},
+                     {"events", static_cast<double>(sum.events)},
+                     {"events_per_s", events_per_s},
+                     {"peak_queue_depth", static_cast<double>(sum.peak_queue_depth)},
+                     {"wakeups", static_cast<double>(sum.wakeups)},
+                     {"cancelled_timers", static_cast<double>(sum.cancelled)},
+                     {"batch_size", static_cast<double>(sum.batch_size)}})
+             << std::flush;
+  }
   std::fprintf(stderr,
                "[harness] %zu sweep points on %u thread(s): "
                "%.2f s wall, %llu simulated events, %.2fM events/s, "
                "peak queue depth %llu, %llu wakeups, "
                "%llu cancelled timers\n",
-               points, bench_threads(), wall_s,
-               static_cast<unsigned long long>(events),
-               wall_s > 0.0 ? static_cast<double>(events) / wall_s / 1e6 : 0.0,
-               static_cast<unsigned long long>(
-                   g_peak_queue_depth.load(std::memory_order_relaxed)),
-               static_cast<unsigned long long>(g_wakeups.load(std::memory_order_relaxed)),
-               static_cast<unsigned long long>(
-                   g_cancel_consumed.load(std::memory_order_relaxed)));
-}
-
-namespace {
-
-// One opener for every JSONL side channel: the first open of the
-// process truncates, later opens (a bench with several tables) append,
-// and an unopenable path warns once to stderr and drops the write —
-// side channels must never fail a bench. `truncated` is the caller's
-// per-channel static flag so each channel tracks its own first open.
-std::ofstream open_side_channel(const char* path, const char* env_name, bool& truncated) {
-  std::ofstream out(path, truncated ? std::ios::app : std::ios::trunc);
-  truncated = true;
-  if (!out) std::fprintf(stderr, "[harness] cannot open %s=%s\n", env_name, path);
-  return out;
-}
-
-void write_metrics_jsonl(const char* path, const std::vector<QueryPoint>& points,
-                         const std::vector<util::Stats>& stats,
-                         const std::vector<RunCapture>& captures) {
-  static bool truncated = false;
-  std::ofstream out = open_side_channel(path, "SCSQ_METRICS_OUT", truncated);
-  if (!out) return;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& p = points[i];
-    std::string q;
-    append_json_escaped(q, p.query);
-    std::ostringstream line;
-    line << std::setprecision(17);
-    line << "{\"point\":" << i << ",\"query\":\"" << q << "\""
-         << ",\"payload_bytes\":" << p.payload_bytes
-         << ",\"buffer_bytes\":" << p.buffer_bytes
-         << ",\"send_buffers\":" << p.send_buffers << ",\"seed\":" << p.seed
-         << ",\"mbps_mean\":" << stats[i].mean() << ",\"mbps_stdev\":" << stats[i].stdev()
-         << ",\"metrics\":" << captures[i].metrics_json << "}";
-    out << line.str() << "\n";
+               points, g_settings.threads, wall_s, static_cast<unsigned long long>(sum.events),
+               events_per_s / 1e6, static_cast<unsigned long long>(sum.peak_queue_depth),
+               static_cast<unsigned long long>(sum.wakeups),
+               static_cast<unsigned long long>(sum.cancelled));
+  if (!failed.empty()) {
+    std::fprintf(stderr, "error: %s\n", failed.c_str());
+    std::exit(1);
   }
-}
-
-void write_profile_jsonl(const char* path, const std::vector<QueryPoint>& points,
-                         const std::vector<RunCapture>& captures) {
-  static bool truncated = false;
-  std::ofstream out = open_side_channel(path, "SCSQ_PROFILE_OUT", truncated);
-  if (!out) return;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& p = points[i];
-    std::string q;
-    append_json_escaped(q, p.query);
-    out << "{\"point\":" << i << ",\"query\":\"" << q << "\""
-        << ",\"payload_bytes\":" << p.payload_bytes
-        << ",\"buffer_bytes\":" << p.buffer_bytes
-        << ",\"send_buffers\":" << p.send_buffers << ",\"seed\":" << p.seed
-        << ",\"profile\":" << captures[i].profile_json << "}\n";
-  }
-}
-
-// Each sampler line already starts with `{"window":...`; splice the
-// sweep point in front so one file carries every point's time series.
-void write_timeseries_jsonl(const char* path, const std::vector<RunCapture>& captures) {
-  static bool truncated = false;
-  std::ofstream out = open_side_channel(path, "SCSQ_TIMESERIES_OUT", truncated);
-  if (!out) return;
-  for (std::size_t i = 0; i < captures.size(); ++i) {
-    std::istringstream lines(captures[i].timeseries_jsonl);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.empty()) continue;
-      out << "{\"point\":" << i << ',' << line.substr(1) << '\n';
+  if (!g_settings.trace_path.empty() && points > 0) {
+    // A trace is one whole JSON document, not JSONL: truncate each time.
+    std::ofstream out(g_settings.trace_path, std::ios::trunc);
+    if (out) {
+      out << g_points.front().trace_json;
+    } else {
+      std::fprintf(stderr, "[harness] cannot open SCSQ_TRACE=%s\n",
+                   g_settings.trace_path.c_str());
     }
   }
+  g_points.clear();
 }
 
-}  // namespace
-
 std::vector<util::Stats> run_points(const std::vector<QueryPoint>& points) {
-  const char* metrics_path = std::getenv("SCSQ_METRICS_OUT");
-  const char* trace_path = std::getenv("SCSQ_TRACE_OUT");
-  const char* profile_path = std::getenv("SCSQ_PROFILE_OUT");
-  const char* timeseries_path = std::getenv("SCSQ_TIMESERIES_OUT");
-  if (!metrics_path && !trace_path && !profile_path && !timeseries_path) {
-    return sweep(points, [](const QueryPoint& p) {
-      return repeat_query_mbps(p.query, p.payload_bytes, p.cost, p.buffer_bytes,
-                               p.send_buffers, p.seed);
-    });
-  }
-
-  struct PointOut {
-    util::Stats stats;
-    RunCapture capture;
-  };
-  const QueryPoint* first = points.data();
-  auto outs = sweep(points, [&](const QueryPoint& p) {
-    PointOut out;
-    out.capture.want_trace = trace_path != nullptr && &p == first;
-    out.capture.want_profile = profile_path != nullptr;
-    out.capture.want_timeseries = timeseries_path != nullptr;
-    out.stats = repeat_query_mbps(p.query, p.payload_bytes, p.cost, p.buffer_bytes,
-                                  p.send_buffers, p.seed, &out.capture);
-    return out;
+  return sweep(points, [](const QueryPoint& p) {
+    const bool keep = keeping();
+    auto stats = repeat_query_mbps(p.query, p.payload_bytes, p.cost, p.buffer_bytes,
+                                   p.send_buffers, p.seed, keep);
+    if (keep) {
+      keep_metrics(p.query, {{"payload_bytes", static_cast<double>(p.payload_bytes)},
+                             {"buffer_bytes", static_cast<double>(p.buffer_bytes)},
+                             {"send_buffers", static_cast<double>(p.send_buffers)},
+                             {"seed", static_cast<double>(p.seed)},
+                             {"mbps_mean", stats.mean()},
+                             {"mbps_stdev", stats.stdev()}});
+    }
+    return stats;
   });
-
-  std::vector<util::Stats> stats;
-  std::vector<RunCapture> captures;
-  stats.reserve(outs.size());
-  captures.reserve(outs.size());
-  for (auto& o : outs) {
-    stats.push_back(std::move(o.stats));
-    captures.push_back(std::move(o.capture));
-  }
-  if (metrics_path) write_metrics_jsonl(metrics_path, points, stats, captures);
-  if (profile_path) write_profile_jsonl(profile_path, points, captures);
-  if (timeseries_path) write_timeseries_jsonl(timeseries_path, captures);
-  if (trace_path && !captures.empty() && !captures.front().trace_json.empty()) {
-    // A trace is one whole JSON document, not JSONL: truncate each time.
-    bool trunc_now = false;
-    std::ofstream out = open_side_channel(trace_path, "SCSQ_TRACE_OUT", trunc_now);
-    if (out) out << captures.front().trace_json;
-  }
-  return stats;
 }
 
 std::string p2p_query(std::uint64_t array_bytes, int arrays) {
@@ -330,13 +302,12 @@ std::string inbound_query(int query_no, int n, std::uint64_t array_bytes, int ar
 }
 
 void print_banner(const char* figure, const char* what) {
-  (void)bench_threads();  // a bad SCSQ_BENCH_THREADS stops the bench here
   std::printf("=====================================================================\n");
   std::printf("SCSQ reproduction — %s: %s\n", figure, what);
   std::printf("Methodology: bandwidth = payload bytes / simulated query time;\n");
   std::printf("%d repetitions with ~1%% cost jitter (paper: five runs).%s\n",
-              quick_mode() ? 2 : kRepetitions,
-              quick_mode() ? " [QUICK MODE]" : "");
+              g_settings.quick ? 2 : kRepetitions,
+              g_settings.quick ? " [QUICK MODE]" : "");
   std::printf("=====================================================================\n");
 }
 

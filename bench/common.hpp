@@ -20,17 +20,29 @@
 // point order, so tables are byte-identical regardless of thread count;
 // the wall-time/events-per-second harness summary goes to stderr to keep
 // stdout comparable.
+//
+// Settings: every bench calls configure_from_env() first, which
+// resolves the SCSQ_* variables once (exec/config.hpp). The benches
+// honor SCSQ_BENCH_QUICK, SCSQ_BENCH_THREADS, SCSQ_BATCH_SIZE,
+// SCSQ_SAMPLE_INTERVAL, SCSQ_MONITOR, SCSQ_TRACE and SCSQ_RECORD; buffer
+// sizes, send buffers and node selection are sweep axes, never read
+// from the environment. Every engine a bench runs is built from
+// run_config and run by run_points or run_query, so each of those
+// settings reaches every run.
 #pragma once
 
 #include <cstdio>
+#include <functional>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/scsq.hpp"
+#include "exec/config.hpp"
+#include "exec/record.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace scsq::bench {
 
@@ -38,13 +50,24 @@ inline constexpr std::uint64_t kArrayBytes = 3'000'000;  // the paper's 3 MB arr
 inline constexpr int kFullArrays = 100;                  // per producer
 inline constexpr int kRepetitions = 5;                   // paper: five runs
 
-/// True when SCSQ_BENCH_QUICK is set: shrink workloads for smoke runs.
-bool quick_mode();
+/// This process's settings: what configure() installed, else the
+/// defaults (full-size workloads, one sweep thread, nothing recorded).
+const exec::Settings& settings();
 
-/// Sweep worker threads: SCSQ_BENCH_THREADS or hardware_concurrency.
-/// A bad SCSQ_BENCH_THREADS value prints an error naming it and exits
-/// the bench with status 1.
-unsigned bench_threads();
+/// Installs `s` as this process's settings and, when s.record_path is
+/// set, opens the run record (exec::open_record). Throws scsql::Error when
+/// s.monitor is not a valid monitor or the record cannot be opened.
+void configure(exec::Settings s);
+
+/// configure(exec::from_env()). A bad setting prints an error naming the
+/// variable and the value and exits 1. Every bench calls this first,
+/// so a rejected setting stops it before the banner and any sweep.
+void configure_from_env();
+
+/// The engine configuration of one bench run: `cost`, plus the resolved
+/// SCSQ_BATCH_SIZE and SCSQ_SAMPLE_INTERVAL. Every engine a bench builds
+/// starts from this.
+ScsqConfig run_config(const hw::CostModel& cost);
 
 /// Number of arrays per producer such that one producer's stream is at
 /// most ~200k messages at this buffer size (full size when possible).
@@ -54,41 +77,19 @@ int arrays_for_buffer(std::uint64_t buffer_bytes);
 /// hardware variation across repetitions.
 hw::CostModel jittered(hw::CostModel cost, std::uint64_t seed);
 
-/// Opt-in capture of observability artifacts from one simulated run:
-/// after the run the machine's metrics registry is published and
-/// serialized to JSON, and (when want_trace) a Chrome trace is recorded.
-/// Capturing happens after sim.run() returns, so timing results and the
-/// stdout tables are unaffected.
-struct RunCapture {
-  bool want_trace = false;       ///< record a Chrome/Perfetto trace of the run
-  bool want_profile = false;     ///< capture an EXPLAIN ANALYZE profile JSON
-  bool want_timeseries = false;  ///< capture the telemetry sampler's windows
-  std::string metrics_json;      ///< registry snapshot (obs JSON export)
-  std::string trace_json;        ///< Chrome tracing JSON (when want_trace)
-  std::string profile_json;      ///< obs::Profile JSON (when want_profile)
-  /// Sampler JSONL, one line per window (empty unless
-  /// SCSQ_SAMPLE_INTERVAL armed the sampler for the run).
-  std::string timeseries_jsonl;
-};
-
-/// Runs one query on a fresh simulated machine; returns Mbit/s of
-/// `payload_bytes` over the query's elapsed time. Thread-safe: each call
-/// owns its whole simulated environment. `capture`, when non-null, is
-/// filled with the run's metrics snapshot (and trace if requested).
-double run_query_mbps(const std::string& query, std::uint64_t payload_bytes,
-                      const hw::CostModel& cost, std::uint64_t buffer_bytes,
-                      int send_buffers, RunCapture* capture = nullptr);
-
-/// Repeats run_query_mbps kRepetitions times with jittered cost models.
-/// `capture` applies to the last repetition only (one snapshot per point).
-util::Stats repeat_query_mbps(const std::string& query, std::uint64_t payload_bytes,
-                              const hw::CostModel& base_cost, std::uint64_t buffer_bytes,
-                              int send_buffers, std::uint64_t seed_base,
-                              RunCapture* capture = nullptr);
+/// Runs `query` on a fresh Scsq built from `cfg` (start it from
+/// run_config) and returns the report, the way run_points runs each
+/// repetition: the SCSQ_MONITOR query, when set, watches the run, and
+/// the run counts in the sweep's harness summary. Inside a sweep() point,
+/// `keep` marks the point's last run: the run record keeps that run for
+/// the point (its metrics line, with `fields`, then its profile, window
+/// and alert lines), and SCSQ_TRACE traces the first point's.
+exec::RunReport run_query(const ScsqConfig& cfg, const std::string& query, bool keep,
+                          std::initializer_list<exec::Field> fields = {});
 
 // --- Parallel sweep harness ---
 
-/// One repeat_query_mbps invocation, described as data so a sweep can
+/// One point of a run_points sweep, described as data so a sweep can
 /// fan points across threads.
 struct QueryPoint {
   std::string query;
@@ -99,54 +100,40 @@ struct QueryPoint {
   std::uint64_t seed = 0;
 };
 
-/// Starts the wall clock / simulated-event accounting for a sweep.
-void harness_begin();
+namespace detail {
 
-/// Prints the harness summary (points, threads, wall seconds, simulated
-/// events, events per wall second) for the sweep started by
-/// harness_begin. Goes to *stderr*: stdout tables stay byte-identical
-/// across thread counts while the perf numbers remain visible.
-void harness_end(std::size_t points);
+/// Runs run(i) for every point i of a sweep of `points` points on
+/// settings().threads workers, each as that sweep point: the run it keeps
+/// (run_query, run_points) becomes the point's record lines, and an
+/// scsql::Error it throws stops the point. Then, having read the wall
+/// clock so the summary times the runs alone, it writes in point order
+/// each point's record lines (or the error line of a failed point) and
+/// the harness line that closes the sweep, prints the harness summary
+/// (points, threads, wall seconds, simulated events, events per wall
+/// second) on *stderr*, so stdout tables stay byte-identical across
+/// thread counts, and writes the SCSQ_TRACE document. A failed point
+/// then prints its error and exits with status 1.
+void sweep_points(std::size_t points, const std::function<void(std::size_t)>& run);
 
-/// Adds externally-run Simulator events to the harness accounting (for
-/// benches that drive Scsq directly instead of via run_query_mbps).
-void harness_count_events(std::uint64_t events);
+}  // namespace detail
 
-/// Full-counter variant: also aggregates wakeups and the peak event-queue
-/// depth across sweep points into the harness summary.
-void harness_count_perf(const sim::PerfCounters& perf);
-
-/// Maps `fn` over `points` on bench_threads() workers with ordered
-/// result collection, bracketed by harness_begin/harness_end.
+/// Maps `fn` over `points` (detail::sweep_points) with ordered result
+/// collection.
 template <class Point, class Fn>
 auto sweep(const std::vector<Point>& points, Fn fn)
     -> std::vector<std::invoke_result_t<Fn&, const Point&>> {
-  harness_begin();
-  auto results = util::run_sweep(points, std::move(fn), bench_threads());
-  harness_end(points.size());
+  std::vector<std::invoke_result_t<Fn&, const Point&>> results(points.size());
+  detail::sweep_points(points.size(), [&](std::size_t i) { results[i] = fn(points[i]); });
   return results;
 }
 
-/// Fans QueryPoints (each = one repeat_query_mbps) across threads;
-/// returns Stats in point order.
-///
-/// Observability side channels (both leave stdout byte-identical):
-///  * SCSQ_METRICS_OUT=<path>: appends one JSON-lines record per sweep
-///    point — the point's parameters, mean/stdev Mbit/s, and the full
-///    metrics-registry snapshot of the point's last repetition (per-link
-///    byte counters, frame-latency histograms, per-hop utilization...).
-///    The first run_points call of the process truncates the file.
-///  * SCSQ_TRACE_OUT=<path>: writes a Chrome/Perfetto trace of the first
-///    sweep point's last repetition.
-///  * SCSQ_PROFILE_OUT=<path>: appends one JSON-lines record per sweep
-///    point — the point's parameters plus the EXPLAIN ANALYZE profile
-///    (dataflow nodes/edges, critical path, attribution) of the point's
-///    last repetition. First run_points call truncates the file.
-///  * SCSQ_TIMESERIES_OUT=<path>: appends the telemetry sampler's
-///    windowed time series (obs/sampler.hpp) of each point's last
-///    repetition, one JSONL line per window tagged with its point.
-///    Requires SCSQ_SAMPLE_INTERVAL to arm the sampler; analyzed by
-///    `metrics_diff --timeseries`. First run_points call truncates.
+/// Fans QueryPoints across threads. Each point runs its query
+/// kRepetitions times (2 in quick mode), each on a fresh simulated
+/// machine with the point's cost model jittered by its seed, and its
+/// Stats (returned in point order) hold the Mbit/s of `payload_bytes`
+/// over each run's elapsed time. With SCSQ_RECORD set, a point's metrics
+/// line adds its parameters and its mbps_mean and mbps_stdev to the
+/// registry of its last repetition.
 std::vector<util::Stats> run_points(const std::vector<QueryPoint>& points);
 
 // --- Query builders (the paper's SCSQL, parameterized) ---

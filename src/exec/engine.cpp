@@ -1,13 +1,12 @@
 #include "exec/engine.hpp"
 
-#include <cstdlib>
-#include <limits>
+#include <cmath>
+#include <sstream>
 
 #include "exec/eval.hpp"
 #include "exec/substitute.hpp"
 #include "resolve/binder.hpp"
 #include "util/logging.hpp"
-#include "util/strings.hpp"
 
 namespace scsq::exec {
 
@@ -21,53 +20,10 @@ using scsql::ExprPtr;
 
 namespace {
 
-/// batch_size == 0 means "resolve from the environment": SCSQ_BATCH_SIZE
-/// when set, otherwise the built-in default. The resolved value is
-/// written back into options_, so options().batch_size always reports
-/// the effective depth. A value that is not a positive integer is
-/// rejected, not defaulted: a typo'd depth silently running at 256 would
-/// make a per-item comparison run compare nothing.
-std::size_t resolve_batch_size(std::size_t configured) {
-  constexpr std::size_t kDefaultBatchSize = 256;
-  if (configured != 0) return configured;
-  const char* env = std::getenv("SCSQ_BATCH_SIZE");
-  if (env == nullptr || *env == '\0') return kDefaultBatchSize;
-  const auto v = util::parse_uint(env, 1, std::numeric_limits<std::size_t>::max());
-  if (!v) {
-    throw Error(std::string("SCSQ_BATCH_SIZE must be a positive integer, got '") + env +
-                "' (unset the variable for the default of 256)");
-  }
-  return static_cast<std::size_t>(*v);
-}
-
-/// sample_interval_s < 0 means "resolve from the environment":
-/// SCSQ_SAMPLE_INTERVAL if set to a positive number of simulated
-/// seconds, otherwise 0 (sampling off). Same write-back convention and
-/// the same policy as resolve_batch_size: a malformed value is rejected,
-/// not defaulted — a typo'd interval silently disabling sampling would
-/// make a telemetry run lie by omission.
-double resolve_sample_interval(double configured) {
-  if (configured >= 0.0) return configured;
-  const char* env = std::getenv("SCSQ_SAMPLE_INTERVAL");
-  if (env == nullptr || *env == '\0') return 0.0;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  if (end == env || *end != '\0') {
-    throw Error(std::string("SCSQ_SAMPLE_INTERVAL must be a number of simulated "
-                            "seconds, got '") +
-                env + "'");
-  }
-  if (v <= 0.0) {
-    throw Error(std::string("SCSQ_SAMPLE_INTERVAL must be positive, got '") + env +
-                "' (unset the variable to disable sampling)");
-  }
-  return v;
-}
-
-/// Rejects stream-buffer settings the transport cannot run with (a
-/// zero-byte buffer, no send buffer, no receive slot) before any query
-/// is wired, instead of letting a driver abort mid-simulation.
-void validate_buffers(const ExecOptions& options) {
+/// Rejects settings the engine cannot run with (a zero-byte buffer, no
+/// send buffer, no receive slot, an empty batch) before any query is
+/// wired, instead of letting a driver abort mid-simulation.
+void validate_options(const ExecOptions& options) {
   if (options.buffer_bytes < 1) {
     throw Error("ExecOptions::buffer_bytes must be >= 1, got " +
                 std::to_string(options.buffer_bytes));
@@ -80,15 +36,14 @@ void validate_buffers(const ExecOptions& options) {
     throw Error("ExecOptions::recv_buffers must be >= 1, got " +
                 std::to_string(options.recv_buffers));
   }
+  if (options.batch_size < 1) throw Error("ExecOptions::batch_size must be >= 1, got 0");
 }
 
 }  // namespace
 
 Engine::Engine(hw::Machine& machine, ExecOptions options)
     : machine_(&machine), options_(std::move(options)) {
-  validate_buffers(options_);
-  options_.batch_size = resolve_batch_size(options_.batch_size);
-  options_.sample_interval_s = resolve_sample_interval(options_.sample_interval_s);
+  validate_options(options_);
   set_sample_interval(options_.sample_interval_s);
   auto& sim = machine_->sim();
   fe_cc_ = std::make_unique<ClusterCoordinator>(sim, hw::kFrontEnd,
@@ -107,19 +62,18 @@ Engine::Engine(hw::Machine& machine, ExecOptions options)
                                                 options_.bgcc_poll_interval_s,
                                                 /*exclusive_nodes=*/true,
                                                 options_.node_selection);
-  // Monitor side channel + environment-registered monitor query
-  // (SCSQ_MONITOR pairs with SCSQ_SAMPLE_INTERVAL the way
-  // SCSQ_TIMESERIES_OUT does — without a sample interval it never fires).
-  if (const char* env = std::getenv("SCSQ_MONITOR_OUT")) monitor_out_path_ = env;
-  if (const char* env = std::getenv("SCSQ_MONITOR")) {
-    if (*env != '\0') register_monitor(env);
-  }
 }
 
 Engine::~Engine() = default;
 
 void Engine::set_sample_interval(double interval_s) {
-  options_.sample_interval_s = interval_s > 0.0 ? interval_s : 0.0;
+  if (interval_s != 0.0 && !(interval_s >= kMinSampleInterval && std::isfinite(interval_s))) {
+    std::ostringstream msg;
+    msg << "the sample interval must be 0 (off) or a finite number of at least "
+        << kMinSampleInterval << " simulated seconds, got " << interval_s;
+    throw Error(msg.str());
+  }
+  options_.sample_interval_s = interval_s;
   sampler_ = std::make_unique<obs::Sampler>(
       machine_->sim(), machine_->metrics(),
       obs::Sampler::Options{options_.sample_interval_s});
@@ -227,12 +181,6 @@ RunReport Engine::run_statement(const scsql::Statement& statement) {
     if (!rp->is_client) coordinator(rp->loc.cluster).release_node(rp->loc.node);
   }
   results_sink_ = nullptr;
-
-  // Flush the monitor side channel before any error propagates: a run
-  // that died mid-statement still leaves its alerts on disk.
-  if (!monitor_out_path_.empty()) {
-    obs::append_alerts_file(monitor_out_path_, monitor_alerts_);
-  }
 
   if (error_) std::rethrow_exception(error_);
   if (monitor_error_) std::rethrow_exception(monitor_error_);

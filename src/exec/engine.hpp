@@ -39,6 +39,11 @@
 
 namespace scsq::exec {
 
+/// Shortest sampler window, in simulated seconds. A shorter one would
+/// stop moving the clock forward (1e-300 added to a time of 1 s is lost
+/// to rounding) and produce windows without end.
+inline constexpr double kMinSampleInterval = 1e-6;
+
 struct ExecOptions {
   /// Stream buffer size for all drivers (the Fig. 6/8 x-axis).
   std::uint64_t buffer_bytes = 64 * 1024;
@@ -64,19 +69,15 @@ struct ExecOptions {
   /// still-running query is stopped (its RPs are terminated and the
   /// partial results returned with RunReport::stopped set). 0 disables.
   double max_sim_time_s = 1e6;
-  /// Batch depth for batch-at-a-time SQEP execution. 0 = resolve from
-  /// the SCSQ_BATCH_SIZE environment variable at engine construction
-  /// (default 256; a value that is not a positive integer is an
-  /// scsql::Error); 1 = exact per-item execution.
-  /// Simulated timing is bitwise-identical at every depth — only the
-  /// host-side work per simulated item changes.
-  std::size_t batch_size = 0;
-  /// Telemetry sampling window in simulated seconds (obs/sampler.hpp).
-  /// < 0 = resolve from the SCSQ_SAMPLE_INTERVAL environment variable at
-  /// engine construction (unset/non-positive = off), 0 = off. Sampling
-  /// is observational by construction: every figure table is
+  /// Batch depth for batch-at-a-time SQEP execution, at least 1;
+  /// 1 = exact per-item execution. Simulated timing is bitwise-identical
+  /// at every depth — only the host-side work per simulated item changes.
+  std::size_t batch_size = 256;
+  /// Telemetry sampling window in simulated seconds (obs/sampler.hpp):
+  /// 0 = off, else a finite value of at least kMinSampleInterval.
+  /// Sampling is observational by construction: every figure table is
   /// byte-identical with it on or off (DESIGN.md §5.7).
-  double sample_interval_s = -1.0;
+  double sample_interval_s = 0.0;
 };
 
 /// One producer→consumer stream connection, reported after the run.
@@ -160,8 +161,9 @@ class Engine {
   obs::Sampler& sampler() { return *sampler_; }
 
   /// Re-arms the sampler with a new window length for subsequent
-  /// statements (the shell's \watch command). <= 0 turns sampling off.
-  /// Updates options().sample_interval_s.
+  /// statements (the shell's \watch command). 0 turns sampling off; any
+  /// other value below kMinSampleInterval, or not finite, is an
+  /// scsql::Error. Updates options().sample_interval_s.
   void set_sample_interval(double interval_s);
 
   // --- introspection monitors (DESIGN.md §5.8) ---
@@ -180,8 +182,8 @@ class Engine {
   /// every sampler window boundary of every subsequent statement, as a
   /// zero-duration read-only callback: the measured workload's tables
   /// and elapsed_s are byte-identical with monitors on or off. Matched
-  /// rows become obs::MonitorAlert records (monitor_alerts(), the
-  /// SCSQ_MONITOR_OUT side channel, Chrome-trace instants). Requires a
+  /// rows become obs::MonitorAlert records (monitor_alerts(), the run
+  /// record's alert lines, Chrome-trace instants). Requires a
   /// positive sample interval to ever fire. Returns the assigned monitor
   /// name ("m1", "m2", ...).
   std::string register_monitor(const std::string& query_text);
@@ -292,7 +294,6 @@ class Engine {
   std::vector<std::function<void(const obs::Sampler::Window&, std::size_t)>>
       window_listeners_;
   std::uint64_t next_monitor_id_ = 1;
-  std::string monitor_out_path_;        // SCSQ_MONITOR_OUT, "" = off
   std::exception_ptr monitor_error_;    // first monitor failure of the run
 };
 

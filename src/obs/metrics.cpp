@@ -1,9 +1,10 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace scsq::obs {
 
@@ -26,29 +27,8 @@ std::string metric_key(const std::string& name, const Labels& labels) {
 
 namespace {
 
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (u < 0x20) {
-      const char* hex = "0123456789abcdef";
-      os << "\\u00" << hex[(u >> 4) & 0xF] << hex[u & 0xF];
-    } else {
-      os << c;
-    }
-  }
-}
-
-// JSON numbers must be finite; histogram bounds may legitimately not be,
-// and gauges could be fed an inf by a zero-duration run.
-void write_json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << '"' << (std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf")) << '"';
-  }
-}
+using util::json::write_escaped;
+using util::json::write_number;
 
 // Prometheus metric names use underscores; label values get quoted with
 // backslash escapes.
@@ -257,7 +237,7 @@ void Registry::write_json(std::ostream& os) const {
       if (!first) os << ',';
       first = false;
       os << '"';
-      write_json_escaped(os, metric_key(e.name, e.labels));
+      write_escaped(os, metric_key(e.name, e.labels));
       os << "\":";
       body(e);
     }
@@ -268,14 +248,14 @@ void Registry::write_json(std::ostream& os) const {
                 [&](const Entry& e) { os << e.counter->value(); });
   os << ',';
   write_section("gauges", Kind::kGauge,
-                [&](const Entry& e) { write_json_number(os, e.gauge->value()); });
+                [&](const Entry& e) { write_number(os, e.gauge->value()); });
   os << ',';
   write_section("histograms", Kind::kHistogram, [&](const Entry& e) {
     const Histogram& h = *e.histogram;
     os << "{\"bounds\":[";
     for (std::size_t i = 0; i < h.bounds().size(); ++i) {
       if (i) os << ',';
-      write_json_number(os, h.bounds()[i]);
+      write_number(os, h.bounds()[i]);
     }
     os << "],\"counts\":[";
     for (std::size_t i = 0; i < h.bucket_counts().size(); ++i) {
@@ -283,7 +263,7 @@ void Registry::write_json(std::ostream& os) const {
       os << h.bucket_counts()[i];
     }
     os << "],\"count\":" << h.count() << ",\"sum\":";
-    write_json_number(os, h.sum());
+    write_number(os, h.sum());
     os << '}';
   });
   os << '}';

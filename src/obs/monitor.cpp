@@ -1,40 +1,13 @@
 #include "obs/monitor.hpp"
 
-#include <cmath>
-#include <fstream>
-#include <mutex>
 #include <ostream>
-#include <set>
 
-#include "util/logging.hpp"
+#include "util/json.hpp"
 
 namespace scsq::obs {
 
-namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (u < 0x20) {
-      const char* hex = "0123456789abcdef";
-      os << "\\u00" << hex[(u >> 4) & 0xF] << hex[u & 0xF];
-    } else {
-      os << c;
-    }
-  }
-}
-
-void write_json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << '"' << (std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf")) << '"';
-  }
-}
-
-}  // namespace
+using util::json::write_escaped;
+using util::json::write_number;
 
 void write_object_json(std::ostream& os, const catalog::Object& value) {
   using catalog::Kind;
@@ -46,14 +19,14 @@ void write_object_json(std::ostream& os, const catalog::Object& value) {
       os << value.as_int();
       return;
     case Kind::kReal:
-      write_json_number(os, value.as_real());
+      write_number(os, value.as_real());
       return;
     case Kind::kBool:
       os << (value.as_bool() ? "true" : "false");
       return;
     case Kind::kStr:
       os << '"';
-      write_json_escaped(os, value.as_str());
+      write_escaped(os, value.as_str());
       os << '"';
       return;
     case Kind::kBag: {
@@ -73,7 +46,7 @@ void write_object_json(std::ostream& os, const catalog::Object& value) {
       for (double v : value.as_darray()) {
         if (!first) os << ',';
         first = false;
-        write_json_number(os, v);
+        write_number(os, v);
       }
       os << ']';
       return;
@@ -85,9 +58,9 @@ void write_object_json(std::ostream& os, const catalog::Object& value) {
         if (!first) os << ',';
         first = false;
         os << "{\"re\":";
-        write_json_number(os, v.real());
+        write_number(os, v.real());
         os << ",\"im\":";
-        write_json_number(os, v.imag());
+        write_number(os, v.imag());
         os << '}';
       }
       os << ']';
@@ -100,7 +73,7 @@ void write_object_json(std::ostream& os, const catalog::Object& value) {
     case Kind::kSp: {
       const auto sp = value.as_sp();
       os << "{\"sp\":" << sp.id << ",\"cluster\":\"";
-      write_json_escaped(os, sp.cluster);
+      write_escaped(os, sp.cluster);
       os << "\"}";
       return;
     }
@@ -113,32 +86,15 @@ void write_alerts_jsonl(std::ostream& os, const std::vector<MonitorAlert>& alert
   for (std::size_t n = 0; n < alerts.size(); ++n) {
     const MonitorAlert& a = alerts[n];
     os << "{\"alert\":" << n << ",\"monitor\":\"";
-    write_json_escaped(os, a.monitor);
+    write_escaped(os, a.monitor);
     os << "\",\"window\":" << a.window << ",\"t_start\":" << a.t_start
        << ",\"t_end\":" << a.t_end << ",\"row\":" << a.row << ",\"value\":";
     write_object_json(os, a.value);
     os << ",\"query\":\"";
-    write_json_escaped(os, a.query);
+    write_escaped(os, a.query);
     os << "\"}\n";
   }
   os.precision(prev_precision);
-}
-
-void append_alerts_file(const std::string& path, const std::vector<MonitorAlert>& alerts) {
-  if (alerts.empty()) return;
-  // Same truncate-once + append pattern as the bench side channels: the
-  // process' first write to a path truncates, later writes (further
-  // statements, other sweep points) extend; a mutex serializes writers.
-  static std::mutex mutex;
-  static std::set<std::string>* truncated = new std::set<std::string>();
-  std::lock_guard<std::mutex> lock(mutex);
-  const bool first = truncated->insert(path).second;
-  std::ofstream out(path, first ? std::ios::trunc : std::ios::app);
-  if (!out) {
-    SCSQ_LOG(kWarn) << "cannot open SCSQ_MONITOR_OUT path " << path;
-    return;
-  }
-  write_alerts_jsonl(out, alerts);
 }
 
 }  // namespace scsq::obs

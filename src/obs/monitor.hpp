@@ -1,15 +1,13 @@
-// Monitor-alert records and their JSONL sink.
+// Monitor-alert records and their JSONL form.
 //
 // A monitor query (Engine::register_monitor) re-runs an introspection
 // SQEP over every telemetry window the sampler takes; every row the
-// plan emits is one MonitorAlert. Alerts are an observability side
-// channel like SCSQ_METRICS_OUT/SCSQ_TIMESERIES_OUT: they are collected
-// during the statement and written to SCSQ_MONITOR_OUT as JSON lines
-// after it completes, leaving stdout and the simulated timeline
-// untouched. Each line starts with `{"alert"` (the splice-anchor
-// convention of obs::Sampler::write_jsonl) and carries the monitor
-// name, its query text, the window it fired in, and the matched row
-// serialized as JSON.
+// plan emits is one MonitorAlert. Alerts are collected during the
+// statement and leave through the run record (exec/record.hpp) after it
+// completes, so stdout and the simulated timeline stay untouched. Each
+// line starts with `{"alert"` (the splice-anchor convention of
+// obs::Sampler::write_jsonl) and carries the monitor name, its query
+// text, the window it fired in, and the matched row serialized as JSON.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +39,5 @@ void write_object_json(std::ostream& os, const catalog::Object& value);
 /// {"alert":N,"monitor":"m1","window":W,"t_start":..,"t_end":..,
 ///  "row":R,"value":...,"query":"..."}
 void write_alerts_jsonl(std::ostream& os, const std::vector<MonitorAlert>& alerts);
-
-/// Appends the alerts to `path` under the shared side-channel contract:
-/// the first append of the process truncates the file, later appends
-/// extend it, and a mutex serializes writers (bench sweeps run engines
-/// on several threads). No-op when `alerts` is empty.
-void append_alerts_file(const std::string& path, const std::vector<MonitorAlert>& alerts);
 
 }  // namespace scsq::obs

@@ -8,33 +8,15 @@
 #include <set>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace scsq::obs {
 
 namespace {
 
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (u < 0x20) {
-      const char* hex = "0123456789abcdef";
-      os << "\\u00" << hex[(u >> 4) & 0xF] << hex[u & 0xF];
-    } else {
-      os << c;
-    }
-  }
-}
-
-void write_json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << '"' << (std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf")) << '"';
-  }
-}
+using util::json::write_escaped;
+using util::json::write_number;
 
 std::string fmt_time(double s) {
   char buf[32];
@@ -332,11 +314,11 @@ void Profile::render_text(std::ostream& os) const {
 
 void Profile::write_json(std::ostream& os) const {
   os << "{\"elapsed_s\":";
-  write_json_number(os, elapsed_s);
+  write_number(os, elapsed_s);
   os << ",\"setup_s\":";
-  write_json_number(os, setup_s);
+  write_number(os, setup_s);
   os << ",\"coproc_switch_s\":";
-  write_json_number(os, coproc_switch_s);
+  write_number(os, coproc_switch_s);
 
   os << ",\"critical_path\":[";
   const auto path = critical_path();
@@ -351,28 +333,28 @@ void Profile::write_json(std::ostream& os) const {
     const auto& n = nodes[i];
     if (i) os << ',';
     os << "{\"rp\":" << n.rp << ",\"loc\":\"";
-    write_json_escaped(os, n.loc);
+    write_escaped(os, n.loc);
     os << "\",\"op\":\"";
-    write_json_escaped(os, n.op);
+    write_escaped(os, n.op);
     os << "\",\"query\":\"";
-    write_json_escaped(os, n.query);
+    write_escaped(os, n.query);
     os << "\",\"is_client\":" << (n.is_client ? "true" : "false")
        << ",\"elements_out\":" << n.elements_out << ",\"bytes_sent\":" << n.bytes_sent
        << ",\"bytes_received\":" << n.bytes_received << ",\"drive_s\":";
-    write_json_number(os, n.drive_s);
+    write_number(os, n.drive_s);
     os << ",\"busy_s\":";
-    write_json_number(os, n.busy_s());
+    write_number(os, n.busy_s());
     os << ",\"recv_wait_s\":";
-    write_json_number(os, n.recv_wait_s);
+    write_number(os, n.recv_wait_s);
     os << ",\"demarshal_s\":";
-    write_json_number(os, n.demarshal_s);
+    write_number(os, n.demarshal_s);
     os << ",\"marshal_s\":";
-    write_json_number(os, n.marshal_s);
+    write_number(os, n.marshal_s);
     os << ",\"send_stall_s\":";
-    write_json_number(os, n.send_stall_s);
+    write_number(os, n.send_stall_s);
     os << ",\"batches\":" << n.batches << ",\"batch_items\":" << n.batch_items
        << ",\"mean_batch_fill\":";
-    write_json_number(os, n.mean_batch_fill());
+    write_number(os, n.mean_batch_fill());
     os << '}';
   }
   os << ']';
@@ -382,28 +364,28 @@ void Profile::write_json(std::ostream& os) const {
     const auto& e = edges[i];
     if (i) os << ',';
     os << "{\"src\":" << e.src_rp << ",\"dst\":" << e.dst_rp << ",\"type\":\"";
-    write_json_escaped(os, e.type);
+    write_escaped(os, e.type);
     os << "\",\"frames\":" << e.frames << ",\"payload_bytes\":" << e.payload_bytes
        << ",\"wire_bytes\":" << e.wire_bytes << ",\"transit_s\":";
-    write_json_number(os, e.transit_s);
+    write_number(os, e.transit_s);
     os << ",\"window_wait_s\":";
-    write_json_number(os, e.window_wait_s);
+    write_number(os, e.window_wait_s);
     os << ",\"occupancy_s\":";
-    write_json_number(os, e.occupancy_s());
+    write_number(os, e.occupancy_s());
     os << ",\"packetization_s\":";
-    write_json_number(os, e.packetization_s());
+    write_number(os, e.packetization_s());
     os << ",\"latency\":{\"count\":" << e.latency.count() << ",\"min\":";
-    write_json_number(os, e.latency.min());
+    write_number(os, e.latency.min());
     os << ",\"max\":";
-    write_json_number(os, e.latency.max());
+    write_number(os, e.latency.max());
     os << ",\"mean\":";
-    write_json_number(os, e.latency.mean());
+    write_number(os, e.latency.mean());
     os << ",\"p50\":";
-    write_json_number(os, e.latency.p50());
+    write_number(os, e.latency.p50());
     os << ",\"p95\":";
-    write_json_number(os, e.latency.p95());
+    write_number(os, e.latency.p95());
     os << ",\"p99\":";
-    write_json_number(os, e.latency.p99());
+    write_number(os, e.latency.p99());
     os << "}}";
   }
   os << ']';
@@ -414,17 +396,17 @@ void Profile::write_json(std::ostream& os) const {
     const auto& s = attr.slices[i];
     if (i) os << ',';
     os << "{\"cause\":\"";
-    write_json_escaped(os, s.cause);
+    write_escaped(os, s.cause);
     os << "\",\"raw_s\":";
-    write_json_number(os, s.raw_s);
+    write_number(os, s.raw_s);
     os << ",\"attributed_s\":";
-    write_json_number(os, s.attributed_s);
+    write_number(os, s.attributed_s);
     os << ",\"share\":";
-    write_json_number(os, s.share);
+    write_number(os, s.share);
     os << '}';
   }
   os << "],\"attributed_total_s\":";
-  write_json_number(os, attr.attributed_total_s());
+  write_number(os, attr.attributed_total_s());
   os << "}}";
 }
 

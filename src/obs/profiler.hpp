@@ -120,7 +120,7 @@ class Profile {
   std::vector<std::uint64_t> critical_path() const;
 
   /// Per-cause decomposition of elapsed_s; attributed seconds sum to
-  /// elapsed_s exactly (the --check-profile invariant).
+  /// elapsed_s exactly (the invariant metrics_diff --record checks).
   Attribution attribution() const;
 
   /// Annotated plan-tree report: the DAG rendered sink-down with

@@ -1,42 +1,17 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 #include <utility>
 
 #include "sim/trace.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace scsq::obs {
 
-namespace {
-
-void write_json_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (u < 0x20) {
-      const char* hex = "0123456789abcdef";
-      os << "\\u00" << hex[(u >> 4) & 0xF] << hex[u & 0xF];
-    } else {
-      os << c;
-    }
-  }
-}
-
-// JSON numbers must be finite; a gauge could legitimately carry an inf
-// (e.g. a rate over a zero-duration episode upstream).
-void write_json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << '"' << (std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf")) << '"';
-  }
-}
-
-}  // namespace
+using util::json::write_escaped;
+using util::json::write_number;
 
 double Sampler::Window::counter_rate_sum(const std::string& substr) const {
   double total = 0.0;
@@ -192,7 +167,7 @@ void Sampler::write_jsonl(std::ostream& os) const {
       if (!first) os << ',';
       first = false;
       os << '"';
-      write_json_escaped(os, c.key);
+      write_escaped(os, c.key);
       os << "\":{\"delta\":" << c.delta << ",\"rate\":" << c.rate << '}';
     }
     os << "},\"gauges\":{";
@@ -201,9 +176,9 @@ void Sampler::write_jsonl(std::ostream& os) const {
       if (!first) os << ',';
       first = false;
       os << '"';
-      write_json_escaped(os, g.key);
+      write_escaped(os, g.key);
       os << "\":";
-      write_json_number(os, g.value);
+      write_number(os, g.value);
     }
     os << "},\"histograms\":{";
     first = true;
@@ -211,7 +186,7 @@ void Sampler::write_jsonl(std::ostream& os) const {
       if (!first) os << ',';
       first = false;
       os << '"';
-      write_json_escaped(os, h.key);
+      write_escaped(os, h.key);
       if (h.count == 0) {
         // No observations: there is no meaningful quantile, and 0.0
         // would be indistinguishable from a genuinely-zero latency.

@@ -3,6 +3,7 @@
 #include <map>
 #include <ostream>
 
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace scsq::sim {
@@ -40,24 +41,7 @@ double Trace::track_busy_seconds(const std::string& track) const {
   return total;
 }
 
-namespace {
-// JSON string escaping. Control characters must become \uXXXX escapes —
-// a raw newline or tab inside a track/event name would otherwise emit
-// invalid JSON that chrome://tracing refuses to load.
-void write_escaped(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (u < 0x20) {
-      static const char* hex = "0123456789abcdef";
-      os << "\\u00" << hex[(u >> 4) & 0xF] << hex[u & 0xF];
-    } else {
-      os << c;
-    }
-  }
-}
-}  // namespace
+using util::json::write_escaped;
 
 void Trace::write_json(std::ostream& os) const {
   // Stable tid per track, in first-appearance order.

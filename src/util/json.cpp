@@ -1,7 +1,9 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <ostream>
 
 namespace scsq::util::json {
 
@@ -310,6 +312,34 @@ std::map<std::string, double> numeric_leaves(const Value& v) {
   std::map<std::string, double> out;
   collect_leaves(v, "", out);
   return out;
+}
+
+void write_escaped(std::ostream& os, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      os << '\\' << c;
+    } else if (u < 0x20) {
+      os << "\\u00" << kHex[u >> 4] << kHex[u & 0xF];
+    } else {
+      os << c;
+    }
+  }
+}
+
+void write_string(std::ostream& os, std::string_view s) {
+  os << '"';
+  write_escaped(os, s);
+  os << '"';
+}
+
+void write_number(std::ostream& os, double v) {
+  if (std::isfinite(v)) {
+    os << v;
+  } else {
+    os << '"' << (std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf")) << '"';
+  }
 }
 
 }  // namespace scsq::util::json

@@ -1,7 +1,8 @@
-// Minimal JSON parser (RFC 8259 subset, no external dependencies).
+// Minimal JSON parser (RFC 8259 subset, no external dependencies) and
+// the two writers every JSON exporter shares.
 //
-// Exists for the observability tooling: metrics_diff parses bench
-// baselines and metrics snapshots, and tests round-trip trace/metrics
+// The parser exists for the observability tooling: metrics_diff parses
+// bench baselines and run records, and tests round-trip trace/metrics
 // exports through it as a structural validity check. It is a strict
 // parser — trailing garbage, unterminated strings, bad escapes, and
 // malformed numbers all throw — which is exactly what a validity check
@@ -9,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -77,5 +79,18 @@ Value parse(std::string_view text);
 /// joined by '.' and array elements as [i]. Used by metrics_diff to
 /// compare two documents structurally.
 std::map<std::string, double> numeric_leaves(const Value& v);
+
+/// Writes `s` as the body of a JSON string, without the quotes: '"' and
+/// '\\' get a backslash, control characters become \u00XX (a raw
+/// newline in a name would otherwise make the document invalid).
+void write_escaped(std::ostream& os, std::string_view s);
+
+/// write_escaped between double quotes.
+void write_string(std::ostream& os, std::string_view s);
+
+/// Writes `v` at the stream's precision. JSON numbers must be finite, so
+/// a non-finite value (an unbounded histogram bucket, a rate over a
+/// zero-length span) is written as the string "inf", "-inf" or "nan".
+void write_number(std::ostream& os, double v);
 
 }  // namespace scsq::util::json

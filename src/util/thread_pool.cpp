@@ -1,11 +1,6 @@
 #include "util/thread_pool.hpp"
 
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
-
 #include "util/logging.hpp"
-#include "util/strings.hpp"
 
 namespace scsq::util {
 
@@ -66,18 +61,6 @@ void ThreadPool::worker_loop() {
       if (--in_flight_ == 0) cv_idle_.notify_all();
     }
   }
-}
-
-unsigned ThreadPool::default_threads() {
-  const char* env = std::getenv("SCSQ_BENCH_THREADS");
-  if (env != nullptr && *env != '\0') {
-    if (const auto n = parse_uint(env, 1, kMaxThreads)) return static_cast<unsigned>(*n);
-    throw std::invalid_argument("SCSQ_BENCH_THREADS must be an integer from 1 to " +
-                                std::to_string(kMaxThreads) + ", got '" + env +
-                                "' (unset the variable to use every core)");
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 }  // namespace scsq::util

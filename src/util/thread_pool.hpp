@@ -59,12 +59,6 @@ class ThreadPool {
   /// Largest worker count SCSQ_BENCH_THREADS may ask for.
   static constexpr unsigned kMaxThreads = 1024;
 
-  /// Worker count for sweeps: SCSQ_BENCH_THREADS if set and not empty,
-  /// else hardware_concurrency. SCSQ_BENCH_THREADS=1 disables threading.
-  /// Anything but an integer from 1 to kMaxThreads (util::parse_uint)
-  /// throws std::invalid_argument naming the variable and the value.
-  static unsigned default_threads();
-
  private:
   void worker_loop();
 
@@ -129,8 +123,7 @@ void parallel_for(std::size_t n, unsigned threads, Fn&& fn) {
 /// Maps `fn` over `points`, returning results in point order regardless
 /// of thread count. The result type must be default-constructible.
 template <class Point, class Fn>
-auto run_sweep(const std::vector<Point>& points, Fn fn,
-               unsigned threads = ThreadPool::default_threads())
+auto run_sweep(const std::vector<Point>& points, Fn fn, unsigned threads)
     -> std::vector<std::invoke_result_t<Fn&, const Point&>> {
   std::vector<std::invoke_result_t<Fn&, const Point&>> results(points.size());
   parallel_for(points.size(), threads,

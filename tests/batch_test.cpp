@@ -11,12 +11,12 @@
 // delivery).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <optional>
 #include <vector>
 
 #include "catalog/batch.hpp"
 #include "core/scsq.hpp"
+#include "env_lookup.hpp"
 #include "plan/operators.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -218,16 +218,19 @@ TEST(Batching, BatchFillReportedInProfile) {
 }
 
 TEST(Batching, EnvKnobControlsDefaultBatchSize) {
-  // ExecOptions::batch_size == 0 resolves from SCSQ_BATCH_SIZE. At 1,
-  // every batch the roots deliver holds exactly one item.
+  // SCSQ_BATCH_SIZE resolves into ExecOptions::batch_size. At 1, every
+  // batch the roots deliver holds exactly one item.
   const std::string script =
       "select extract(b) from sp b "
       "where b=sp(streamof(gen_array(1000, 6)), 'be');";
-  ::setenv("SCSQ_BATCH_SIZE", "1", 1);
-  auto r1 = run_with_batch(script, 0);
-  ::setenv("SCSQ_BATCH_SIZE", "256", 1);
-  auto r256 = run_with_batch(script, 0);
-  ::unsetenv("SCSQ_BATCH_SIZE");
+  const auto resolved = [](const char* value) {
+    return exec::from_env(env_of({{"SCSQ_BATCH_SIZE", value}})).config.exec.batch_size;
+  };
+  ASSERT_EQ(resolved("1"), 1u);
+  ASSERT_EQ(resolved("256"), 256u);
+  EXPECT_EQ(exec::from_env(env_of({})).config.exec.batch_size, 256u);
+  auto r1 = run_with_batch(script, resolved("1"));
+  auto r256 = run_with_batch(script, resolved("256"));
   expect_same_run(r1, r256);
   for (const auto& rp : r1.rps) {
     if (rp.batches > 0) {

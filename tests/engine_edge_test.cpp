@@ -3,10 +3,10 @@
 // paths not exercised by the paper's queries.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "core/scsq.hpp"
+#include "env_lookup.hpp"
 
 namespace scsq {
 namespace {
@@ -217,15 +217,14 @@ TEST(EngineEdge, ZeroRecvBuffersIsAnError) {
   expect_config_error(config, "recv_buffers");
 }
 
-// SCSQ_BATCH_SIZE follows SCSQ_SAMPLE_INTERVAL's policy: a value that
+// SCSQ_BATCH_SIZE follows every integer setting's policy: a value that
 // is not a positive integer is an scsql error naming the variable and
 // the value, never a silent fall back to the default depth.
 TEST(EngineEdge, BadBatchSizeEnvIsAnError) {
   for (const char* bad : {"0", "-1", "abc", "16x", " 16", "+16", "99999999999999999999999"}) {
     SCOPED_TRACE(bad);
-    setenv("SCSQ_BATCH_SIZE", bad, 1);
     try {
-      Scsq scsq;
+      (void)exec::from_env(env_of({{"SCSQ_BATCH_SIZE", bad}}));
       ADD_FAILURE() << "SCSQ_BATCH_SIZE='" << bad << "' was accepted";
     } catch (const scsql::Error& e) {
       const std::string what = e.what();
@@ -233,16 +232,54 @@ TEST(EngineEdge, BadBatchSizeEnvIsAnError) {
       EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
     }
   }
-  setenv("SCSQ_BATCH_SIZE", "16", 1);
-  EXPECT_EQ(Scsq().engine().options().batch_size, 16u);
-  unsetenv("SCSQ_BATCH_SIZE");
+  const auto settings = exec::from_env(env_of({{"SCSQ_BATCH_SIZE", "16"}}));
+  EXPECT_EQ(Scsq(settings.config).engine().options().batch_size, 16u);
   EXPECT_EQ(Scsq().engine().options().batch_size, 256u);
-  // An explicit setting never reads the variable.
-  setenv("SCSQ_BATCH_SIZE", "abc", 1);
+  // The engine itself rejects an empty batch.
   ScsqConfig config;
-  config.exec.batch_size = 4;
-  EXPECT_EQ(Scsq(config).engine().options().batch_size, 4u);
-  unsetenv("SCSQ_BATCH_SIZE");
+  config.exec.batch_size = 0;
+  expect_config_error(config, "batch_size");
+}
+
+// SCSQ_BENCH_QUICK is 0 or 1: 0 (or unset, or empty) is full mode, and
+// any other value is an error, not quick mode.
+TEST(EngineEdge, BenchQuickIsZeroOrOne) {
+  EXPECT_FALSE(exec::from_env(env_of({})).quick);
+  EXPECT_FALSE(exec::from_env(env_of({{"SCSQ_BENCH_QUICK", ""}})).quick);
+  EXPECT_FALSE(exec::from_env(env_of({{"SCSQ_BENCH_QUICK", "0"}})).quick);
+  EXPECT_TRUE(exec::from_env(env_of({{"SCSQ_BENCH_QUICK", "1"}})).quick);
+  for (const char* bad : {"yes", "no", "2", "true"}) {
+    EXPECT_THROW((void)exec::from_env(env_of({{"SCSQ_BENCH_QUICK", bad}})), scsql::Error)
+        << bad;
+  }
+}
+
+// The shell's settings resolve into the ExecOptions the shell passes on,
+// and the paths are taken as given.
+TEST(EngineEdge, SettingsResolveEveryVariable) {
+  const auto s = exec::from_env(env_of({{"SCSQ_BUFFER_BYTES", "1000"},
+                                        {"SCSQ_SEND_BUFFERS", "1"},
+                                        {"SCSQ_MAX_RESULTS", "7"},
+                                        {"SCSQ_SMART_SELECT", "1"},
+                                        {"SCSQ_VERBOSE", "1"},
+                                        {"SCSQ_SAMPLE_INTERVAL", "0.25"},
+                                        {"SCSQ_MONITOR", "system.rates()"},
+                                        {"SCSQ_TRACE", "t.json"},
+                                        {"SCSQ_RECORD", "r.jsonl"}}));
+  EXPECT_EQ(s.config.exec.buffer_bytes, 1000u);
+  EXPECT_EQ(s.config.exec.send_buffers, 1);
+  EXPECT_EQ(s.config.exec.max_results, 7u);
+  EXPECT_EQ(s.config.exec.node_selection, exec::NodeSelection::kSpread);
+  EXPECT_TRUE(s.verbose);
+  EXPECT_DOUBLE_EQ(s.config.exec.sample_interval_s, 0.25);
+  EXPECT_EQ(s.monitor, "system.rates()");
+  EXPECT_EQ(s.trace_path, "t.json");
+  EXPECT_EQ(s.record_path, "r.jsonl");
+  // Unset: the ExecOptions defaults, nothing traced or recorded.
+  const auto d = exec::from_env(env_of({}));
+  EXPECT_EQ(d.config.exec.buffer_bytes, exec::ExecOptions{}.buffer_bytes);
+  EXPECT_EQ(d.config.exec.sample_interval_s, 0.0);
+  EXPECT_TRUE(d.monitor.empty() && d.trace_path.empty() && d.record_path.empty());
 }
 
 }  // namespace

@@ -12,13 +12,13 @@
 // the alert JSONL golden shape.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "catalog/object.hpp"
 #include "core/scsq.hpp"
+#include "env_lookup.hpp"
 #include "exec/eval.hpp"
 #include "obs/monitor.hpp"
 #include "plan/builder.hpp"
@@ -285,16 +285,25 @@ TEST(MonitorRegistration, IntrospectionSourcesRejectedOutsideMonitors) {
 }
 
 TEST(MonitorRegistration, EnvMonitorAutoRegisters) {
-  ::setenv("SCSQ_MONITOR", kThresholdMonitor, 1);
+  const auto settings = exec::from_env(env_of({{"SCSQ_MONITOR", kThresholdMonitor}}));
   {
-    Scsq scsq;
+    Scsq scsq(settings.config);
+    exec::register_env_monitor(scsq.engine(), settings);
     const auto listed = scsq.engine().monitors();
     ASSERT_EQ(listed.size(), 1u);
     EXPECT_EQ(listed[0].query, kThresholdMonitor);
   }
-  ::setenv("SCSQ_MONITOR", "extract(nope)", 1);
-  EXPECT_THROW(Scsq{}, scsql::Error);  // invalid env monitor fails loudly
-  ::unsetenv("SCSQ_MONITOR");
+  // An invalid monitor fails loudly, naming the variable and the value.
+  const auto bad = exec::from_env(env_of({{"SCSQ_MONITOR", "extract(nope)"}}));
+  Scsq scsq(bad.config);
+  try {
+    exec::register_env_monitor(scsq.engine(), bad);
+    ADD_FAILURE() << "SCSQ_MONITOR=extract(nope) was accepted";
+  } catch (const scsql::Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("SCSQ_MONITOR='extract(nope)'"), std::string::npos) << what;
+  }
+  EXPECT_TRUE(scsq.engine().monitors().empty());
 }
 
 TEST(MonitorRegistration, AlertCountsResetPerStatement) {

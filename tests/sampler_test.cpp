@@ -11,12 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scsq.hpp"
+#include "env_lookup.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -292,7 +293,7 @@ TEST(Sampler, JsonlParsesAndMatchesWindows) {
 
 exec::RunReport run_sampled(const std::string& script, double interval) {
   ScsqConfig config;
-  config.exec.sample_interval_s = interval;  // >= 0 skips the env resolve
+  config.exec.sample_interval_s = interval;
   Scsq scsq(config);
   return scsq.run(script);
 }
@@ -343,23 +344,34 @@ TEST(SamplerInvariance, EngineProducesWindowsAndLinkQuantiles) {
 }
 
 TEST(SamplerInvariance, BadSampleIntervalEnvRejected) {
-  // A typo'd SCSQ_SAMPLE_INTERVAL must fail loudly at engine
-  // construction, not silently disable sampling: zero, negative and
-  // non-numeric values are all rejected.
-  for (const char* bad : {"abc", "0", "-1", "0.0", "1x", "1e"}) {
+  // A typo'd SCSQ_SAMPLE_INTERVAL must fail loudly, not silently disable
+  // sampling, and an interval too short to move the clock (1e-300) or
+  // not a finite decimal (nan, inf, hex) must not start a run that never
+  // ends: all are rejected, naming the variable and the value.
+  for (const char* bad : {"abc", "0", "-1", "0.0", "1x", "1e", "nan", "inf", "-inf", "1e-300",
+                          "0x10", " 1", "+1", "1e999", "0.0000009"}) {
     SCOPED_TRACE(bad);
-    ::setenv("SCSQ_SAMPLE_INTERVAL", bad, 1);
-    ScsqConfig config;  // sample_interval_s = -1: resolve from the env
-    EXPECT_THROW(Scsq scsq(config), scsql::Error);
+    try {
+      (void)exec::from_env(env_of({{"SCSQ_SAMPLE_INTERVAL", bad}}));
+      ADD_FAILURE() << "accepted";
+    } catch (const scsql::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("SCSQ_SAMPLE_INTERVAL"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
+    }
   }
-  ::setenv("SCSQ_SAMPLE_INTERVAL", "0.5", 1);
-  {
-    ScsqConfig config;
-    Scsq scsq(config);
-    EXPECT_TRUE(scsq.engine().sampler().enabled());
-    EXPECT_DOUBLE_EQ(scsq.engine().options().sample_interval_s, 0.5);
+  for (const auto& [text, value] : std::vector<std::pair<const char*, double>>{
+           {"0.5", 0.5}, {"1e-6", 1e-6}, {"1E-3", 1e-3}, {".25", 0.25}, {"2.", 2.0}, {"10", 10}}) {
+    EXPECT_EQ(exec::parse_interval(text), value) << text;
   }
-  ::unsetenv("SCSQ_SAMPLE_INTERVAL");
+  const auto settings = exec::from_env(env_of({{"SCSQ_SAMPLE_INTERVAL", "0.5"}}));
+  Scsq scsq(settings.config);
+  EXPECT_TRUE(scsq.engine().sampler().enabled());
+  EXPECT_DOUBLE_EQ(scsq.engine().options().sample_interval_s, 0.5);
+  // The engine holds the same floor for programs that pass ExecOptions.
+  for (double bad : {1e-300, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(scsq.engine().set_sample_interval(bad), scsql::Error) << bad;
+  }
 }
 
 TEST(SamplerInvariance, SetSampleIntervalRearmsBetweenStatements) {

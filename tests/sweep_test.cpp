@@ -83,12 +83,13 @@ TEST(SweepDeterminism, DistinctSeedsStayDistinctUnderThreads) {
 }
 
 TEST(SweepDeterminism, RepeatQueryStatsReproduce) {
-  const auto query = p2p_query(kArrayBytes, 2);
-  const std::uint64_t payload = kArrayBytes * 2;
-  auto a = repeat_query_mbps(query, payload, hw::CostModel::lofar(), 1000, 2, 7);
-  auto b = repeat_query_mbps(query, payload, hw::CostModel::lofar(), 1000, 2, 7);
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.stdev(), b.stdev());
+  const std::vector<QueryPoint> points = {
+      {p2p_query(kArrayBytes, 2), kArrayBytes * 2, hw::CostModel::lofar(), 1000, 2, 7}};
+  const auto a = run_points(points);
+  const auto b = run_points(points);
+  ASSERT_EQ(a.size(), 1u);
+  EXPECT_EQ(a[0].mean(), b[0].mean());
+  EXPECT_EQ(a[0].stdev(), b[0].stdev());
 }
 
 TEST(SweepDeterminism, DeadlockReportingSurvivesWorkerThreads) {
@@ -107,6 +108,15 @@ TEST(SweepDeterminism, DeadlockReportingSurvivesWorkerThreads) {
   const std::vector<int> points = {0, 1, 2, 3};
   auto live = util::run_sweep(points, deadlocked, 4);
   for (auto l : live) EXPECT_EQ(l, 1u);
+}
+
+TEST(SweepDeterminism, FailedPointStopsTheBenchWithAnError) {
+  // A statement error inside a sweep point is reported and ends the bench
+  // with exit status 1, never std::terminate.
+  const std::vector<QueryPoint> points = {
+      {"select nope(1);", 1, hw::CostModel::lofar(), 1000, 1, 1}};
+  EXPECT_EXIT(run_points(points), ::testing::ExitedWithCode(1),
+              "error: .*unknown function 'nope'");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -8,9 +9,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "env_lookup.hpp"
+#include "scsql/error.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -280,25 +284,23 @@ TEST(ThreadPoolDefaults, ThreadCountParserTakesOnlyBoundedPositiveIntegers) {
 }
 
 TEST(ThreadPoolDefaults, BadEnvValueThrowsNamingIt) {
-  setenv("SCSQ_BENCH_THREADS", "2x", 1);
   try {
-    (void)ThreadPool::default_threads();
+    (void)exec::from_env(env_of({{"SCSQ_BENCH_THREADS", "2x"}}));
     ADD_FAILURE() << "SCSQ_BENCH_THREADS=2x was accepted";
-  } catch (const std::invalid_argument& e) {
+  } catch (const scsql::Error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("SCSQ_BENCH_THREADS"), std::string::npos) << what;
     EXPECT_NE(what.find("'2x'"), std::string::npos) << what;
   }
-  unsetenv("SCSQ_BENCH_THREADS");
 }
 
 TEST(ThreadPoolDefaults, EnvOverrideWins) {
-  setenv("SCSQ_BENCH_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::default_threads(), 3u);
-  setenv("SCSQ_BENCH_THREADS", "1", 1);
-  EXPECT_EQ(ThreadPool::default_threads(), 1u);
-  unsetenv("SCSQ_BENCH_THREADS");
-  EXPECT_GE(ThreadPool::default_threads(), 1u);
+  EXPECT_EQ(exec::from_env(env_of({{"SCSQ_BENCH_THREADS", "3"}})).threads, 3u);
+  EXPECT_EQ(exec::from_env(env_of({{"SCSQ_BENCH_THREADS", "1"}})).threads, 1u);
+  // Unset or empty: every core.
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(exec::from_env(env_of({})).threads, cores);
+  EXPECT_EQ(exec::from_env(env_of({{"SCSQ_BENCH_THREADS", ""}})).threads, cores);
 }
 
 }  // namespace

@@ -30,62 +30,60 @@ export SCSQ_BENCH_THREADS=2
 TMPD=$(mktemp -d)
 trap 'rm -rf "$TMPD"' EXIT
 
-# validate_json FILE — every line (JSONL) or the whole document must be
-# valid JSON; metrics/trace exports are hand-rolled, so check them here.
-validate_json() {
-  if python3 -m json.tool "$1" > /dev/null 2>&1; then
-    return 0
-  fi
-  # Not a single document: require every non-empty line to parse (JSONL).
-  python3 - "$1" <<'EOF'
-import json, sys
-path = sys.argv[1]
-for n, line in enumerate(open(path), 1):
-    if not line.strip():
-        continue
-    try:
-        json.loads(line)
-    except json.JSONDecodeError as e:
-        sys.exit(f"{path}:{n}: invalid JSON: {e}")
-EOF
+# check_record RECORD — metrics_diff --record must validate RECORD (the
+# script stops on its exit status); its report is left in RECORD.summary.
+check_record() {
+  "$BUILD/tools/metrics_diff" --record "$1" > "$1.summary" || {
+    cat "$1.summary"; echo "metrics_diff --record rejected $1"; exit 1; }
 }
 
+# record_count RECORD KIND — the number of KIND lines in a checked record.
+record_count() {
+  tail -n 1 "$1.summary" | sed -n "s/.* \([0-9]*\) $2.*/\1/p"
+}
+
+# Every bench with the run record on: its table must still be the golden
+# one (tables do not depend on the thread count), and the record must
+# validate.
 for b in fig6_p2p fig8_merge fig15_inbound \
          ablate_coproc ablate_dblbuf ablate_nodesel ablate_smartsel \
          linear_road; do
-  echo "== bench_$b (quick, 2 threads) =="
-  SCSQ_METRICS_OUT="$TMPD/$b.jsonl" "$BUILD/bench/bench_$b" > /dev/null
-  if [[ -f "$TMPD/$b.jsonl" ]]; then
-    validate_json "$TMPD/$b.jsonl"
-    echo "   metrics JSONL ok ($(wc -l < "$TMPD/$b.jsonl") records)"
-  fi
+  echo "== bench_$b (quick, 2 threads, run record) =="
+  SCSQ_RECORD="$TMPD/$b.jsonl" "$BUILD/bench/bench_$b" > "$TMPD/$b.txt"
+  cmp "$TMPD/$b.txt" "tests/golden/$b.txt" || {
+    echo "bench_$b table differs from tests/golden/$b.txt with SCSQ_RECORD set"; exit 1; }
+  check_record "$TMPD/$b.jsonl"
+  echo "   $(tail -n 1 "$TMPD/$b.jsonl.summary")"
 done
 
 # Kernel microbenchmarks: one fast shot each, just to prove they run.
 "$BUILD/bench/bench_kernels" --benchmark_filter='BM_(SimulatorEventThroughput|WaitQueueWakeup|ChannelPingPong)' > /dev/null
 
-# Shell smoke: trace + \metrics snapshot on a tiny query; both exports
-# must be valid JSON / contain the expected sections.
-echo "== scsql_shell trace + metrics =="
+# Shell smoke: trace + record + \metrics snapshot on a tiny query; the
+# trace must be valid JSON, the record must validate with the statement's
+# profile line, and \metrics must print its sections.
+echo "== scsql_shell trace + record + metrics =="
 echo "select extract(b) from sp a, sp b
  where b=sp(streamof(count(extract(a))),'bg',0)
  and a=sp(gen_array(100000,2),'bg',1);
-\\metrics" | SCSQ_TRACE="$TMPD/shell_trace.json" "$BUILD/tools/scsql_shell" > "$TMPD/shell_out.txt"
-validate_json "$TMPD/shell_trace.json"
+\\metrics" | SCSQ_TRACE="$TMPD/shell_trace.json" SCSQ_RECORD="$TMPD/shell.jsonl" \
+  "$BUILD/tools/scsql_shell" > "$TMPD/shell_out.txt"
+# The trace export is hand-rolled: the whole document must be valid JSON.
+python3 -m json.tool "$TMPD/shell_trace.json" > /dev/null
+check_record "$TMPD/shell.jsonl"
+[[ "$(record_count "$TMPD/shell.jsonl" "profile")" == "1" ]] || {
+  echo "shell record lacks the statement's profile"; exit 1; }
 grep -q '# TYPE' "$TMPD/shell_out.txt" || { echo "missing \\metrics output"; exit 1; }
 
-# Profiler smoke: SCSQ_PROFILE_OUT must leave bench stdout byte-identical,
-# produce valid JSONL, and hold the attribution invariant (attributed
-# seconds sum to elapsed) for every sweep point.
-echo "== bench_fig6_p2p profile capture =="
+# Profiler smoke: the record run above must leave bench stdout
+# byte-identical to a run without it, and hold the attribution
+# invariant (attributed seconds sum to elapsed) for every sweep point.
+echo "== bench_fig6_p2p profiles in the run record =="
 "$BUILD/bench/bench_fig6_p2p" > "$TMPD/fig6_plain.txt" 2> /dev/null
-SCSQ_PROFILE_OUT="$TMPD/fig6_profile.jsonl" \
-  "$BUILD/bench/bench_fig6_p2p" > "$TMPD/fig6_profiled.txt" 2> /dev/null
-cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_profiled.txt" || {
-  echo "SCSQ_PROFILE_OUT changed bench stdout"; exit 1; }
-validate_json "$TMPD/fig6_profile.jsonl"
-echo "   profile JSONL ok ($(wc -l < "$TMPD/fig6_profile.jsonl") records), stdout byte-identical"
-"$BUILD/tools/metrics_diff" --check-profile "$TMPD/fig6_profile.jsonl"
+cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_p2p.txt" || {
+  echo "SCSQ_RECORD changed bench stdout"; exit 1; }
+echo "   $(record_count "$TMPD/fig6_p2p.jsonl" "profile") profiles hold the attribution" \
+     "invariant, stdout byte-identical"
 
 # Shell EXPLAIN ANALYZE smoke on the Fig. 8 merge query: the report must
 # show the plan tree, a critical path, and a 100% attribution total.
@@ -107,61 +105,62 @@ echo "== bench_kernels marshal/frame smoke =="
 
 # Telemetry-sampler smoke: arming SCSQ_SAMPLE_INTERVAL must leave bench
 # stdout byte-identical (the sampler's zero-duration ticks may not
-# perturb a single simulated second), the SCSQ_TIMESERIES_OUT JSONL must
-# validate, and the --timeseries analyzer must hold its exit-code
-# contract: 0 on a clean analyze and on a self-diff, 1 on an injected
-# steady-rate regression.
-echo "== telemetry sampler time series =="
-SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_TIMESERIES_OUT="$TMPD/fig6_ts.jsonl" \
+# perturb a single simulated second), the record's windows must validate,
+# and metrics_diff --record must hold its exit-code contract: 0 on a
+# clean analyze and on a self-diff, 1 on an injected steady-rate
+# regression.
+echo "== telemetry sampler windows in the run record =="
+SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_RECORD="$TMPD/fig6_ts.jsonl" \
   "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_sampled.txt"
 cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_sampled.txt" || {
   echo "SCSQ_SAMPLE_INTERVAL changed bench stdout"; exit 1; }
-validate_json "$TMPD/fig6_ts.jsonl"
+check_record "$TMPD/fig6_ts.jsonl"
+"$BUILD/tools/metrics_diff" --record "$TMPD/fig6_ts.jsonl" "$TMPD/fig6_ts.jsonl" > /dev/null
 echo "   stdout byte-identical sampler on/off;" \
-     "JSONL ok ($(wc -l < "$TMPD/fig6_ts.jsonl") windows)"
-"$BUILD/tools/metrics_diff" --timeseries "$TMPD/fig6_ts.jsonl" > /dev/null
-"$BUILD/tools/metrics_diff" --timeseries "$TMPD/fig6_ts.jsonl" "$TMPD/fig6_ts.jsonl" > /dev/null
+     "$(record_count "$TMPD/fig6_ts.jsonl" "window") windows validated"
 cat > "$TMPD/ts_seed.jsonl" <<'EOF'
-{"point":0,"window":0,"t_start":0,"t_end":1,"counters":{"transport.link.bytes{src=a}":{"delta":1000,"rate":1000}}}
-{"point":0,"window":1,"t_start":1,"t_end":2,"counters":{"transport.link.bytes{src=a}":{"delta":1000,"rate":1000}}}
-{"point":0,"window":2,"t_start":2,"t_end":3,"counters":{"transport.link.bytes{src=a}":{"delta":1000,"rate":1000}}}
+{"kind":"header","settings":{}}
+{"kind":"window","point":0,"window":0,"t_start":0,"t_end":1,"counters":{"transport.link.bytes{src=a}":{"delta":1000,"rate":1000}}}
+{"kind":"window","point":0,"window":1,"t_start":1,"t_end":2,"counters":{"transport.link.bytes{src=a}":{"delta":1000,"rate":1000}}}
+{"kind":"window","point":0,"window":2,"t_start":2,"t_end":3,"counters":{"transport.link.bytes{src=a}":{"delta":1000,"rate":1000}}}
 EOF
 sed 's/1000/400/g' "$TMPD/ts_seed.jsonl" > "$TMPD/ts_regressed.jsonl"
 rc=0
-"$BUILD/tools/metrics_diff" --timeseries \
+"$BUILD/tools/metrics_diff" --record \
   "$TMPD/ts_seed.jsonl" "$TMPD/ts_regressed.jsonl" > /dev/null || rc=$?
-[[ "$rc" == "1" ]] || { echo "injected time-series regression not flagged (exit $rc)"; exit 1; }
-echo "   --timeseries: clean analyze + self-diff exit 0, injected regression exit 1"
+[[ "$rc" == "1" ]] || { echo "injected steady-rate regression not flagged (exit $rc)"; exit 1; }
+echo "   --record: clean analyze + self-diff exit 0, injected regression exit 1"
 
 # Introspection-monitor smoke: a continuous SCSQL threshold monitor over
 # system.metrics must (a) leave bench stdout byte-identical — monitors
 # run as zero-duration read-only callbacks at sampler window boundaries
-# (DESIGN.md §5.8) — including at SCSQ_BATCH_SIZE=1, (b) emit at least
-# one alert to SCSQ_MONITOR_OUT, and (c) produce a JSONL alert stream
-# that validates under metrics_diff --alerts.
-echo "== introspection monitor alerts =="
+# (DESIGN.md §5.8) — including at SCSQ_BATCH_SIZE=1, (b) leave at least
+# one alert line in the run record, and (c) every alert line must be
+# complete under metrics_diff --record.
+echo "== introspection monitor alerts in the run record =="
 MONITOR_Q="above(sum(system.rates('transport.link.bytes')), 1)"
-SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_MONITOR="$MONITOR_Q" \
-  SCSQ_MONITOR_OUT="$TMPD/fig6_alerts.jsonl" \
+SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_MONITOR="$MONITOR_Q" SCSQ_RECORD="$TMPD/fig6_mon.jsonl" \
   "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_monitored.txt"
 cmp "$TMPD/fig6_plain.txt" "$TMPD/fig6_monitored.txt" || {
   echo "SCSQ_MONITOR changed bench stdout"; exit 1; }
-[[ -s "$TMPD/fig6_alerts.jsonl" ]] || { echo "monitor emitted no alerts"; exit 1; }
-validate_json "$TMPD/fig6_alerts.jsonl"
+check_record "$TMPD/fig6_mon.jsonl"
+alerts=$(record_count "$TMPD/fig6_mon.jsonl" "alert")
+[[ "${alerts:-0}" -ge 1 ]] || { echo "monitor left no alert in the record"; exit 1; }
 SCSQ_BATCH_SIZE=1 \
   "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_b1.txt"
 SCSQ_BATCH_SIZE=1 SCSQ_SAMPLE_INTERVAL=0.05 SCSQ_MONITOR="$MONITOR_Q" \
+  SCSQ_RECORD="$TMPD/fig6_b1_mon.jsonl" \
   "$BUILD/bench/bench_fig6_p2p" 2> /dev/null > "$TMPD/fig6_b1_mon.txt"
 cmp "$TMPD/fig6_b1.txt" "$TMPD/fig6_b1_mon.txt" || {
   echo "SCSQ_MONITOR x SCSQ_BATCH_SIZE changed bench stdout"; exit 1; }
-"$BUILD/tools/metrics_diff" --alerts "$TMPD/fig6_alerts.jsonl"
-echo "   stdout byte-identical monitor on/off (also at batch=1);" \
-     "$(wc -l < "$TMPD/fig6_alerts.jsonl") alert(s) validated"
+check_record "$TMPD/fig6_b1_mon.jsonl"
+grep '^monitor ' "$TMPD/fig6_mon.jsonl.summary"
+echo "   stdout byte-identical monitor on/off (also at batch=1); $alerts alert(s) validated"
 
 # TSAN pass over the code that still starts threads: the thread pool
 # and parallel sweep helpers, the sweep harness (one Simulator per
-# worker, shared coroutine-frame chunk registry) and the registry/JSONL
-# side channels under a 4-thread sweep. Skipped when the toolchain
+# worker, shared coroutine-frame chunk registry) and the run record
+# under a 4-thread sweep. Skipped when the toolchain
 # cannot link a trivial -fsanitize=thread program.
 if echo 'int main(){}' | c++ -x c++ -fsanitize=thread -o /dev/null - 2> /dev/null; then
   echo "== util_test + sweep_test + obs_stress_test under ThreadSanitizer =="

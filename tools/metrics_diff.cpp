@@ -1,5 +1,5 @@
-// metrics_diff — compare metrics/bench JSON documents and flag
-// performance regressions beyond a threshold.
+// metrics_diff — compare metrics/bench JSON documents and run records,
+// and flag performance regressions beyond a threshold.
 //
 // Modes:
 //
@@ -21,54 +21,33 @@
 //
 //   metrics_diff [--threshold=0.2] [--filter=SUB] [--top=N] OLD.json NEW.json
 //     Structural diff: every numeric leaf is flattened to a dotted path
-//     (obs registry exports, bench JSONL records, bench baselines all
-//     work) and matching paths are compared. Leaves present in only one
-//     file are listed; a drop beyond the threshold at any shared path
-//     fails (exit 1). Files holding JSON-lines (one document per line,
-//     e.g. SCSQ_METRICS_OUT output) are wrapped into an array first.
-//     --filter keeps only leaf paths containing SUB; --top caps the
-//     CHANGED lines at the N largest relative changes (REGRESSION and
-//     ONLY-* lines always print).
+//     (obs registry exports, run records, bench baselines all work) and
+//     matching paths are compared. Leaves present in only one file are
+//     listed; a drop beyond the threshold at any shared path fails
+//     (exit 1). Files holding JSON-lines (one document per line, e.g. a
+//     run record) are wrapped into an array first. --filter keeps only
+//     leaf paths containing SUB; --top caps the CHANGED lines at the N
+//     largest relative changes (REGRESSION and ONLY-* lines always
+//     print).
 //
-//   metrics_diff --check-profile PROFILE.json
-//     Validates EXPLAIN ANALYZE output (SCSQ_PROFILE_OUT JSONL or a
-//     single profile document): every profile's attribution must sum to
-//     its elapsed time within 0.1% — the profiler's core invariant.
-//     Exit 1 when violated, exit 2 when the file holds no profiles.
+//   metrics_diff [--series=SUB] --record RECORD.jsonl
+//     Validates a run record (SCSQ_RECORD, exec/record.hpp): every line
+//     is JSON and the first is the header; every profile's attribution
+//     sums to its elapsed time within 0.1%; per sweep point or shell
+//     statement, windows have t_start < t_end, cover time contiguously
+//     and carry finite, non-negative counter deltas and rates; every
+//     alert is complete. Exit 1 on a violation. It reports, per point,
+//     the steady state of the primary rate (the summed rates of the
+//     counters whose key contains --series): ramp time to the first
+//     window within ±25% of the median nonzero rate, steady mean, peak
+//     and p99 window rate; per monitor, its alerts, windows and fired
+//     time range; and the lines of each kind.
 //
-//   metrics_diff [--threshold=0.2] --profile-diff OLD.json NEW.json
-//     Pairs profile records by position and compares per-cause
-//     attribution shares; fail (exit 1) when any cause's share of
-//     elapsed time grew by more than the threshold (absolute, e.g. 0.2
-//     = 20 percentage points) — gating attribution regressions such as
-//     packetization waste creeping up.
-//
-//   metrics_diff [--series=SUB] --timeseries SERIES.jsonl
-//     Analyzes a telemetry-sampler time series (SCSQ_TIMESERIES_OUT
-//     JSONL). Records are grouped by their "point" tag (untagged raw
-//     sampler output is one point). Per point the windows are
-//     validated (t_start < t_end, contiguous coverage, finite
-//     non-negative counter deltas/rates — exit 1 on violation) and a
-//     primary rate per window is formed by summing the rates of every
-//     counter whose key contains --series. Steady state is the set of
-//     windows within ±25% of the median nonzero rate; the report gives
-//     ramp time (start to the first steady window), steady mean, peak
-//     and p99 window rate.
-//
-//   metrics_diff [--threshold=0.2] [--series=SUB] --timeseries OLD NEW
-//     Pairs points across two time-series files and compares their
-//     steady-state mean rates; fail (exit 1) when a point's steady
-//     rate drops below old*(1-threshold). Identical inputs exit 0.
-//
-//   metrics_diff --alerts ALERTS.jsonl
-//     Validates and summarizes a monitor-alert stream (SCSQ_MONITOR_OUT
-//     JSONL, obs::write_alerts_jsonl shape). Per record: the monitor
-//     name, query, numeric window index and row, window bounds with
-//     t_start < t_end, and a "value" member must all be present (exit 1
-//     on violation; no cross-record window monotonicity is required —
-//     appended multi-run files restart their indices). The summary
-//     gives per-monitor alert counts, distinct windows, and the fired
-//     time range. Exit 2 when the file holds no alert records.
+//   metrics_diff [--threshold=0.2] [--series=SUB] --record OLD NEW
+//     Validates both records and fails (exit 1) when a profile's cause
+//     grew its share of elapsed time by more than the threshold
+//     (absolute: 0.2 = 20 points; profiles paired by position) or a
+//     point's steady mean rate fell below old*(1-threshold).
 //
 // Exit codes: 0 ok, 1 regression/violation found, 2 usage/parse error,
 // 3 (--check only) measurement lacking a "seed" key with no regression.
@@ -79,6 +58,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -273,60 +253,9 @@ int run_diff(const std::string& old_path, const std::string& new_path, double th
   return regressions > 0 ? 1 : 0;
 }
 
-// --- EXPLAIN ANALYZE profile checks ---
+// --- run records (SCSQ_RECORD) ---
 
-/// A profile object: numeric "elapsed_s" plus an "attribution" object
-/// with numeric "attributed_total_s" (the obs::Profile JSON shape, found
-/// standalone or nested inside SCSQ_PROFILE_OUT records).
-bool is_profile(const Value& v) {
-  if (!v.is_object()) return false;
-  const Value* elapsed = v.find("elapsed_s");
-  const Value* attribution = v.find("attribution");
-  return elapsed != nullptr && elapsed->is_number() && attribution != nullptr &&
-         attribution->is_object() && attribution->find("attributed_total_s") != nullptr &&
-         attribution->find("attributed_total_s")->is_number();
-}
-
-void collect_profiles(const Value& v, std::vector<const Value*>* out) {
-  if (v.is_object()) {
-    if (is_profile(v)) {
-      out->push_back(&v);
-      return;
-    }
-    for (const auto& [key, member] : v.as_object()) collect_profiles(member, out);
-  } else if (v.is_array()) {
-    for (const auto& item : v.as_array()) collect_profiles(item, out);
-  }
-}
-
-int run_check_profile(const std::string& path) {
-  const Value doc = parse_file(path);
-  std::vector<const Value*> profiles;
-  collect_profiles(doc, &profiles);
-  if (profiles.empty()) {
-    std::fprintf(stderr, "metrics_diff: %s: no profiles found\n", path.c_str());
-    return 2;
-  }
-  constexpr double kTolerance = 1e-3;  // the ±0.1% attribution invariant
-  int violations = 0;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const double elapsed = profiles[i]->find("elapsed_s")->as_number();
-    const double attributed =
-        profiles[i]->find("attribution")->find("attributed_total_s")->as_number();
-    const double scale = std::max(std::fabs(elapsed), 1e-12);
-    if (std::fabs(attributed - elapsed) / scale > kTolerance) {
-      std::printf("VIOLATION profile[%zu]: attributed %.9g s != elapsed %.9g s (%.3f%% off)\n",
-                  i, attributed, elapsed,
-                  std::fabs(attributed - elapsed) / scale * 100.0);
-      ++violations;
-    }
-  }
-  std::printf("%s: %zu profile(s) checked, %d attribution violation(s)\n", path.c_str(),
-              profiles.size(), violations);
-  return violations > 0 ? 1 : 0;
-}
-
-/// cause -> share map from a profile's attribution.slices.
+/// Share of elapsed time per cause, from a profile's attribution.slices.
 std::map<std::string, double> shares_of(const Value& profile) {
   std::map<std::string, double> shares;
   const Value* attribution = profile.find("attribution");
@@ -343,58 +272,6 @@ std::map<std::string, double> shares_of(const Value& profile) {
   return shares;
 }
 
-int run_profile_diff(const std::string& old_path, const std::string& new_path,
-                     double threshold) {
-  const Value old_doc = parse_file(old_path);
-  const Value new_doc = parse_file(new_path);
-  std::vector<const Value*> old_profiles, new_profiles;
-  collect_profiles(old_doc, &old_profiles);
-  collect_profiles(new_doc, &new_profiles);
-  if (old_profiles.empty() || new_profiles.empty()) {
-    std::fprintf(stderr, "metrics_diff: no profiles to compare (%zu old, %zu new)\n",
-                 old_profiles.size(), new_profiles.size());
-    return 2;
-  }
-  const std::size_t pairs = std::min(old_profiles.size(), new_profiles.size());
-  if (old_profiles.size() != new_profiles.size()) {
-    std::printf("(profile counts differ: %zu old vs %zu new; comparing first %zu)\n",
-                old_profiles.size(), new_profiles.size(), pairs);
-  }
-  int regressions = 0;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const auto old_shares = shares_of(*old_profiles[i]);
-    const auto new_shares = shares_of(*new_profiles[i]);
-    for (const auto& [cause, new_share] : new_shares) {
-      const auto it = old_shares.find(cause);
-      if (it == old_shares.end()) {
-        // A cause the old profile never attributed at all — a new cost
-        // category (e.g. a subsystem added by the change), not a share
-        // regression of an existing one. Informational only.
-        if (new_share > 0.01) {
-          std::printf("NEW-CAUSE  profile[%zu] %s: share %.1f%% (absent in old)\n", i,
-                      cause.c_str(), new_share * 100.0);
-        }
-        continue;
-      }
-      const double old_share = it->second;
-      const double delta = new_share - old_share;
-      if (delta > threshold) {
-        std::printf("REGRESSION profile[%zu] %s: share %.1f%% -> %.1f%% (+%.1f points)\n",
-                    i, cause.c_str(), old_share * 100.0, new_share * 100.0, delta * 100.0);
-        ++regressions;
-      } else if (std::fabs(delta) > 0.01) {
-        std::printf("CHANGED    profile[%zu] %s: share %.1f%% -> %.1f%%\n", i,
-                    cause.c_str(), old_share * 100.0, new_share * 100.0);
-      }
-    }
-  }
-  std::printf("%zu profile pair(s) compared, %d attribution regression(s) (threshold %.0f points)\n",
-              pairs, regressions, threshold * 100.0);
-  return regressions > 0 ? 1 : 0;
-}
-
-// --- windowed time-series analysis (SCSQ_TIMESERIES_OUT) ---
-
 /// One sampler window reduced to the primary series: the sum of the
 /// rates of every counter whose key contains the --series substring.
 struct SeriesWindow {
@@ -402,77 +279,6 @@ struct SeriesWindow {
   double t_end = 0.0;
   double rate = 0.0;
 };
-
-/// A sampler window record: the obs::Sampler JSONL shape, with or
-/// without the "point" tag the bench harness splices in front.
-bool is_window_record(const Value& v) {
-  if (!v.is_object()) return false;
-  const Value* t0 = v.find("t_start");
-  const Value* t1 = v.find("t_end");
-  const Value* counters = v.find("counters");
-  return t0 != nullptr && t0->is_number() && t1 != nullptr && t1->is_number() &&
-         counters != nullptr && counters->is_object();
-}
-
-/// Parses a time-series file into per-point window lists, validating
-/// the sampler invariants along the way: positive-length windows,
-/// contiguous coverage, finite non-negative deltas and rates. Returns
-/// the number of violations printed.
-int load_timeseries(const std::string& path, const std::string& series,
-                    std::map<long, std::vector<SeriesWindow>>* points) {
-  const Value doc = parse_file(path);
-  std::vector<const Value*> records;
-  if (doc.is_array()) {
-    for (const auto& item : doc.as_array()) {
-      if (is_window_record(item)) records.push_back(&item);
-    }
-  } else if (is_window_record(doc)) {
-    records.push_back(&doc);
-  }
-  int violations = 0;
-  std::size_t n = 0;
-  for (const Value* rec : records) {
-    ++n;
-    const Value* point = rec->find("point");
-    const long p =
-        point != nullptr && point->is_number() ? static_cast<long>(point->as_number()) : 0;
-    SeriesWindow w;
-    w.t_start = rec->find("t_start")->as_number();
-    w.t_end = rec->find("t_end")->as_number();
-    if (!(w.t_end > w.t_start)) {
-      std::printf("VIOLATION %s window %zu: t_end %g <= t_start %g\n", path.c_str(), n,
-                  w.t_end, w.t_start);
-      ++violations;
-    }
-    for (const auto& [key, counter] : rec->find("counters")->as_object()) {
-      if (!counter.is_object()) continue;
-      const Value* delta = counter.find("delta");
-      const Value* rate = counter.find("rate");
-      const double d = delta != nullptr && delta->is_number() ? delta->as_number() : -1.0;
-      const double r = rate != nullptr && rate->is_number() ? rate->as_number() : -1.0;
-      if (d < 0.0 || !std::isfinite(r) || r < 0.0) {
-        std::printf("VIOLATION %s window %zu: counter %s has bad delta/rate\n",
-                    path.c_str(), n, key.c_str());
-        ++violations;
-        continue;
-      }
-      if (key.find(series) != std::string::npos) w.rate += r;
-    }
-    auto& windows = (*points)[p];
-    if (!windows.empty()) {
-      const double prev_end = windows.back().t_end;
-      const double tol = 1e-9 * std::max(1.0, std::fabs(prev_end));
-      if (std::fabs(w.t_start - prev_end) > tol) {
-        std::printf("VIOLATION %s window %zu (point %ld): t_start %.17g does not "
-                    "continue previous t_end %.17g\n",
-                    path.c_str(), n, p, w.t_start, prev_end);
-        ++violations;
-      }
-    }
-    windows.push_back(w);
-  }
-  return violations;
-}
 
 /// Steady-state summary of one point's windows: the windows whose
 /// primary-series rate sits within ±25% of the median nonzero rate.
@@ -520,143 +326,226 @@ SteadyState analyze_point(const std::vector<SeriesWindow>& windows) {
   return s;
 }
 
-int run_timeseries_check(const std::string& path, const std::string& series) {
-  std::map<long, std::vector<SeriesWindow>> points;
-  const int violations = load_timeseries(path, series, &points);
-  if (points.empty()) {
-    std::fprintf(stderr, "metrics_diff: %s: no sampler windows found\n", path.c_str());
-    return 2;
-  }
-  for (const auto& [p, windows] : points) {
-    const SteadyState s = analyze_point(windows);
-    std::printf("point %ld: %zu window(s), %zu steady, ramp %.6g s, "
-                "steady mean %.6g /s, peak %.6g /s, p99 window %.6g /s [series '%s']\n",
-                p, s.windows, s.steady_windows, s.ramp_s, s.steady_mean, s.peak, s.p99,
-                series.c_str());
-  }
-  std::printf("%s: %zu point(s), %d violation(s)\n", path.c_str(), points.size(),
-              violations);
-  return violations > 0 ? 1 : 0;
+/// Where a record line belongs: (sweep, point) for a bench sweep point,
+/// (-1, statement) for a shell statement.
+using PointKey = std::pair<long, long>;
+
+std::string point_name(const PointKey& key) {
+  return key.first < 0 ? "statement " + std::to_string(key.second)
+                       : "sweep " + std::to_string(key.first) + " point " +
+                             std::to_string(key.second);
 }
 
-int run_timeseries_diff(const std::string& old_path, const std::string& new_path,
-                        const std::string& series, double threshold) {
-  std::map<long, std::vector<SeriesWindow>> old_points, new_points;
-  const int old_violations = load_timeseries(old_path, series, &old_points);
-  const int new_violations = load_timeseries(new_path, series, &new_points);
-  if (old_points.empty() || new_points.empty()) {
-    std::fprintf(stderr, "metrics_diff: no sampler windows to compare (%zu old, %zu new)\n",
-                 old_points.size(), new_points.size());
-    return 2;
-  }
-  int regressions = 0;
-  std::size_t pairs = 0;
-  for (const auto& [p, old_windows] : old_points) {
-    const auto it = new_points.find(p);
-    if (it == new_points.end()) {
-      std::printf("ONLY-OLD   point %ld (%zu windows)\n", p, old_windows.size());
-      continue;
-    }
-    ++pairs;
-    const SteadyState old_s = analyze_point(old_windows);
-    const SteadyState new_s = analyze_point(it->second);
-    if (old_s.steady_mean > 0.0 &&
-        new_s.steady_mean < old_s.steady_mean * (1.0 - threshold)) {
-      std::printf("REGRESSION point %ld: steady mean %.6g -> %.6g /s (%+.1f%%)\n", p,
-                  old_s.steady_mean, new_s.steady_mean,
-                  (new_s.steady_mean - old_s.steady_mean) / old_s.steady_mean * 100.0);
-      ++regressions;
-    } else if (new_s.steady_mean != old_s.steady_mean) {
-      std::printf("CHANGED    point %ld: steady mean %.6g -> %.6g /s\n", p,
-                  old_s.steady_mean, new_s.steady_mean);
-    }
-  }
-  for (const auto& [p, new_windows] : new_points) {
-    if (!old_points.contains(p)) {
-      std::printf("ONLY-NEW   point %ld (%zu windows)\n", p, new_windows.size());
-    }
-  }
-  std::printf("%zu point pair(s) compared, %d steady-rate regression(s) "
-              "(threshold %.0f%%, series '%s')\n",
-              pairs, regressions, threshold * 100.0, series.c_str());
-  if (regressions > 0 || old_violations > 0 || new_violations > 0) return 1;
-  return 0;
-}
+struct MonitorSummary {
+  std::size_t alerts = 0;
+  std::set<std::pair<PointKey, long>> windows;  // (point, window index)
+  double min_t_end = 0.0;  // each point's windows restart at its own time
+  double max_t_end = 0.0;
+  std::string query;
+};
 
-// --- monitor-alert stream validation (SCSQ_MONITOR_OUT) ---
+/// A validated run record: its lines, the profiles in file order, the
+/// windows of each point and the alerts of each monitor.
+struct Record {
+  Record() = default;
+  Record(Record&&) = default;  // moving keeps the lines where profiles point
+  Record(const Record&) = delete;
 
-/// A monitor-alert record: the obs::write_alerts_jsonl shape.
-bool is_alert_record(const Value& v) {
-  return v.is_object() && v.find("alert") != nullptr && v.find("monitor") != nullptr;
-}
-
-int run_alerts(const std::string& path) {
-  const Value doc = parse_file(path);
-  std::vector<const Value*> records;
-  if (doc.is_array()) {
-    for (const auto& item : doc.as_array()) {
-      if (is_alert_record(item)) records.push_back(&item);
-    }
-  } else if (is_alert_record(doc)) {
-    records.push_back(&doc);
-  }
-  if (records.empty()) {
-    std::fprintf(stderr, "metrics_diff: %s: no monitor alerts found\n", path.c_str());
-    return 2;
-  }
-
-  struct MonitorSummary {
-    std::size_t alerts = 0;
-    std::set<long> windows;
-    double first_t_end = 0.0;
-    double last_t_end = 0.0;
-    std::string query;
-  };
+  Value lines = Value::make_null();  // an array, one element per line
+  std::vector<const Value*> profiles;
+  std::map<PointKey, std::vector<SeriesWindow>> windows;
   std::map<std::string, MonitorSummary> monitors;
+  std::map<std::string, std::size_t> kinds;  // lines per kind
   int violations = 0;
-  std::size_t n = 0;
-  for (const Value* rec : records) {
-    ++n;
-    const Value* monitor = rec->find("monitor");
-    const Value* window = rec->find("window");
-    const Value* t_start = rec->find("t_start");
-    const Value* t_end = rec->find("t_end");
-    const Value* row = rec->find("row");
-    const Value* value = rec->find("value");
-    const Value* query = rec->find("query");
-    if (monitor == nullptr || !monitor->is_string() || window == nullptr ||
-        !window->is_number() || row == nullptr || !row->is_number() ||
-        query == nullptr || !query->is_string() || value == nullptr) {
-      std::printf("VIOLATION %s alert %zu: missing/mistyped member "
-                  "(monitor/window/row/value/query)\n",
-                  path.c_str(), n);
-      ++violations;
-      continue;
-    }
-    if (t_start == nullptr || !t_start->is_number() || t_end == nullptr ||
-        !t_end->is_number() || !(t_start->as_number() < t_end->as_number())) {
-      std::printf("VIOLATION %s alert %zu: bad window bounds (t_start must be < t_end)\n",
-                  path.c_str(), n);
-      ++violations;
-      continue;
-    }
-    auto& s = monitors[monitor->as_string()];
-    if (s.alerts == 0) {
-      s.first_t_end = t_end->as_number();
-      s.query = query->as_string();
-    }
-    s.last_t_end = t_end->as_number();
-    ++s.alerts;
-    s.windows.insert(static_cast<long>(window->as_number()));
+};
+
+bool is_number(const Value* v) { return v != nullptr && v->is_number(); }
+
+/// Reads and validates a record; prints each violation. Exits 2 when the
+/// file is not a record (unreadable, not JSON lines, no header first).
+Record load_record(const std::string& path, const std::string& series) {
+  Record rec;
+  rec.lines = parse_file(path);
+  if (!rec.lines.is_array()) rec.lines = Value::make_array({rec.lines});  // header only
+  const auto& lines = rec.lines.as_array();
+  const auto kind_of = [](const Value& v) {
+    const Value* kind = v.find("kind");
+    return kind != nullptr && kind->is_string() ? kind->as_string() : std::string();
+  };
+  if (lines.empty() || kind_of(lines.front()) != "header") {
+    std::fprintf(stderr, "metrics_diff: %s: not a run record (no header line first)\n",
+                 path.c_str());
+    std::exit(2);
   }
-  for (const auto& [name, s] : monitors) {
+  const auto violation = [&](std::size_t n, const std::string& what) {
+    std::printf("VIOLATION %s line %zu: %s\n", path.c_str(), n, what.c_str());
+    ++rec.violations;
+  };
+  long sweep = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Value& v = lines[i];
+    const std::size_t n = i + 1;
+    const std::string kind = kind_of(v);
+    ++rec.kinds[kind];
+    std::optional<PointKey> key;
+    if (const Value* point = v.find("point"); is_number(point)) {
+      key = PointKey{sweep, static_cast<long>(point->as_number())};
+    } else if (const Value* st = v.find("statement"); is_number(st)) {
+      key = PointKey{-1, static_cast<long>(st->as_number())};
+    }
+    if (kind == "header" || kind == "metrics" || kind == "error") {
+      if (kind == "header" && i > 0) violation(n, "a second header");
+    } else if (kind == "harness") {
+      ++sweep;
+    } else if (kind == "profile") {
+      const Value* profile = v.find("profile");
+      const Value* attribution = profile != nullptr ? profile->find("attribution") : nullptr;
+      if (profile == nullptr || !is_number(profile->find("elapsed_s")) ||
+          attribution == nullptr || !is_number(attribution->find("attributed_total_s"))) {
+        violation(n, "profile without elapsed_s or attribution.attributed_total_s");
+        continue;
+      }
+      constexpr double kTolerance = 1e-3;  // the ±0.1% attribution invariant
+      const double elapsed = profile->find("elapsed_s")->as_number();
+      const double attributed = attribution->find("attributed_total_s")->as_number();
+      const double scale = std::max(std::fabs(elapsed), 1e-12);
+      if (std::fabs(attributed - elapsed) / scale > kTolerance) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf), "attributed %.9g s != elapsed %.9g s (%.3f%% off)",
+                      attributed, elapsed, std::fabs(attributed - elapsed) / scale * 100.0);
+        violation(n, buf);
+      }
+      rec.profiles.push_back(profile);
+    } else if (kind == "window") {
+      const Value* counters = v.find("counters");
+      if (!key || !is_number(v.find("t_start")) || !is_number(v.find("t_end")) ||
+          counters == nullptr || !counters->is_object()) {
+        violation(n, "window without point, t_start, t_end or counters");
+        continue;
+      }
+      SeriesWindow w;
+      w.t_start = v.find("t_start")->as_number();
+      w.t_end = v.find("t_end")->as_number();
+      if (!(w.t_end > w.t_start)) violation(n, "window t_end <= t_start");
+      for (const auto& [name, counter] : counters->as_object()) {
+        const Value* delta = counter.find("delta");
+        const Value* rate = counter.find("rate");
+        if (!is_number(delta) || delta->as_number() < 0.0 || !is_number(rate) ||
+            !std::isfinite(rate->as_number()) || rate->as_number() < 0.0) {
+          violation(n, "counter " + name + " has a bad delta or rate");
+          continue;
+        }
+        if (name.find(series) != std::string::npos) w.rate += rate->as_number();
+      }
+      auto& windows = rec.windows[*key];
+      if (!windows.empty()) {
+        const double prev_end = windows.back().t_end;
+        if (std::fabs(w.t_start - prev_end) > 1e-9 * std::max(1.0, std::fabs(prev_end))) {
+          char buf[160];
+          std::snprintf(buf, sizeof(buf), "%s: t_start %.17g does not continue t_end %.17g",
+                        point_name(*key).c_str(), w.t_start, prev_end);
+          violation(n, buf);
+        }
+      }
+      windows.push_back(w);
+    } else if (kind == "alert") {
+      const Value* monitor = v.find("monitor");
+      const Value* query = v.find("query");
+      const Value* t_start = v.find("t_start");
+      const Value* t_end = v.find("t_end");
+      if (monitor == nullptr || !monitor->is_string() || query == nullptr ||
+          !query->is_string() || !is_number(v.find("window")) || !is_number(v.find("row")) ||
+          v.find("value") == nullptr) {
+        violation(n, "alert without monitor, query, window, row or value");
+        continue;
+      }
+      if (!is_number(t_start) || !is_number(t_end) ||
+          !(t_start->as_number() < t_end->as_number())) {
+        violation(n, "alert window bounds need t_start < t_end");
+        continue;
+      }
+      auto& m = rec.monitors[monitor->as_string()];
+      const double end = t_end->as_number();
+      if (m.alerts++ == 0) {
+        m.min_t_end = m.max_t_end = end;
+        m.query = query->as_string();
+      }
+      m.min_t_end = std::min(m.min_t_end, end);
+      m.max_t_end = std::max(m.max_t_end, end);
+      m.windows.emplace(key.value_or(PointKey{-1, -1}),
+                        static_cast<long>(v.find("window")->as_number()));
+    } else {
+      violation(n, "unknown kind '" + kind + "'");
+    }
+  }
+  return rec;
+}
+
+std::size_t count(const Record& rec, const char* kind) {
+  const auto it = rec.kinds.find(kind);
+  return it == rec.kinds.end() ? 0 : it->second;
+}
+
+int run_record(const std::string& path, const std::string& series) {
+  const Record rec = load_record(path, series);
+  for (const auto& [key, windows] : rec.windows) {
+    const SteadyState s = analyze_point(windows);
+    std::printf("%s: %zu window(s), %zu steady, ramp %.6g s, steady mean %.6g /s, "
+                "peak %.6g /s, p99 window %.6g /s [series '%s']\n",
+                point_name(key).c_str(), s.windows, s.steady_windows, s.ramp_s, s.steady_mean,
+                s.peak, s.p99, series.c_str());
+  }
+  for (const auto& [name, m] : rec.monitors) {
     std::printf("monitor %s: %zu alert(s) over %zu window(s), t_end %.6g..%.6g s: %s\n",
-                name.c_str(), s.alerts, s.windows.size(), s.first_t_end, s.last_t_end,
-                s.query.c_str());
+                name.c_str(), m.alerts, m.windows.size(), m.min_t_end, m.max_t_end,
+                m.query.c_str());
   }
-  std::printf("%s: %zu alert(s), %zu monitor(s), %d violation(s)\n", path.c_str(),
-              records.size(), monitors.size(), violations);
-  return violations > 0 ? 1 : 0;
+  std::printf("%s: %zu metrics, %zu profile(s), %zu window(s), %zu alert(s), %zu error(s), "
+              "%zu sweep(s); %d violation(s)\n",
+              path.c_str(), count(rec, "metrics"), count(rec, "profile"),
+              count(rec, "window"), count(rec, "alert"), count(rec, "error"),
+              count(rec, "harness"), rec.violations);
+  return rec.violations > 0 ? 1 : 0;
+}
+
+int run_record_diff(const std::string& old_path, const std::string& new_path,
+                    const std::string& series, double threshold) {
+  const Record old_rec = load_record(old_path, series);
+  const Record new_rec = load_record(new_path, series);
+  int regressions = 0;
+  const std::size_t pairs = std::min(old_rec.profiles.size(), new_rec.profiles.size());
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const auto old_shares = shares_of(*old_rec.profiles[i]);
+    for (const auto& [cause, new_share] : shares_of(*new_rec.profiles[i])) {
+      // A cause the old run never attributed is a new cost category, not
+      // a share regression.
+      const auto it = old_shares.find(cause);
+      if (it != old_shares.end() && new_share - it->second > threshold) {
+        std::printf("REGRESSION profile[%zu] %s: share %.1f%% -> %.1f%%\n", i, cause.c_str(),
+                    it->second * 100.0, new_share * 100.0);
+        ++regressions;
+      }
+    }
+  }
+  std::size_t point_pairs = 0;
+  for (const auto& [key, old_windows] : old_rec.windows) {
+    const auto it = new_rec.windows.find(key);
+    if (it == new_rec.windows.end()) continue;
+    ++point_pairs;
+    const double old_mean = analyze_point(old_windows).steady_mean;
+    const double new_mean = analyze_point(it->second).steady_mean;
+    if (old_mean > 0.0 && new_mean < old_mean * (1.0 - threshold)) {
+      std::printf("REGRESSION %s: steady mean %.6g -> %.6g /s (%+.1f%%)\n",
+                  point_name(key).c_str(), old_mean, new_mean,
+                  (new_mean - old_mean) / old_mean * 100.0);
+      ++regressions;
+    }
+  }
+  std::printf("%zu of %zu/%zu profile(s) and %zu point(s) with windows compared, "
+              "%d regression(s) (threshold %.0f%%, series '%s')\n",
+              pairs, old_rec.profiles.size(), new_rec.profiles.size(), point_pairs,
+              regressions, threshold * 100.0, series.c_str());
+  return regressions > 0 || old_rec.violations > 0 || new_rec.violations > 0 ? 1 : 0;
 }
 
 void print_usage(std::FILE* to) {
@@ -664,37 +553,29 @@ void print_usage(std::FILE* to) {
                "usage: metrics_diff [--threshold=FRACTION] --check BASELINE.json\n"
                "       metrics_diff [--threshold=FRACTION] [--filter=SUB] [--top=N] "
                "OLD.json NEW.json\n"
-               "       metrics_diff --check-profile PROFILE.json\n"
-               "       metrics_diff [--threshold=FRACTION] --profile-diff OLD.json NEW.json\n"
-               "       metrics_diff [--series=SUB] --timeseries SERIES.jsonl\n"
-               "       metrics_diff [--threshold=FRACTION] [--series=SUB] --timeseries "
+               "       metrics_diff [--series=SUB] --record RECORD.jsonl\n"
+               "       metrics_diff [--threshold=FRACTION] [--series=SUB] --record "
                "OLD.jsonl NEW.jsonl\n"
-               "       metrics_diff --alerts ALERTS.jsonl\n"
                "\n"
                "  --threshold=F   regression tolerance, 0 <= F < 1 (default 0.2).\n"
                "                  diff/check: flag drops below old*(1-F);\n"
-               "                  profile-diff: flag share growth above F (absolute).\n"
+               "                  record: flag a cause's share growing by more than F\n"
+               "                  (absolute) and steady rates below old*(1-F).\n"
                "  --filter=SUB    diff mode: only leaf paths containing SUB\n"
                "  --top=N         diff mode: show the N largest CHANGED lines by |%%|\n"
                "                  (REGRESSION and ONLY-* lines always print)\n"
-               "  --check-profile validate EXPLAIN ANALYZE attribution sums\n"
-               "  --profile-diff  compare per-cause attribution shares by position\n"
-               "  --timeseries    analyze a sampler time series (SCSQ_TIMESERIES_OUT):\n"
-               "                  validate window invariants and report ramp time,\n"
-               "                  steady-state mean, peak and p99 window rate per point.\n"
-               "                  With two files, compare steady-state rates and flag\n"
-               "                  drops below old*(1-threshold).\n"
-               "  --series=SUB    timeseries mode: counters whose key contains SUB form\n"
+               "  --record        validate a run record (SCSQ_RECORD): profile\n"
+               "                  attribution sums, window and alert invariants; report\n"
+               "                  steady-state rates per point and alerts per monitor.\n"
+               "                  With two records, compare them.\n"
+               "  --series=SUB    record mode: counters whose key contains SUB form\n"
                "                  the primary rate (default 'transport.link.bytes')\n"
-               "  --alerts        validate and summarize a monitor-alert stream\n"
-               "                  (SCSQ_MONITOR_OUT JSONL)\n"
                "  --help          print this help and exit 0\n"
                "\n"
                "exit codes:\n"
                "  0  no regressions / invariants hold\n"
-               "  1  regression or attribution violation found\n"
-               "  2  usage error, unreadable file, invalid JSON, or no\n"
-               "     measurements/profiles found where some were required\n"
+               "  1  regression or invariant violation found\n"
+               "  2  usage error, unreadable file, invalid JSON, or not a record\n"
                "  3  --check: a measurement has no \"seed\" key (forgotten\n"
                "     baseline; record one or mark it \"seed\": null). Only\n"
                "     when no exit-1 regression also fired.\n");
@@ -710,16 +591,17 @@ void print_usage(std::FILE* to) {
 int main(int argc, char** argv) {
   double threshold = 0.2;
   bool check = false;
-  bool check_profile = false;
-  bool profile_diff = false;
-  bool timeseries = false;
-  bool alerts = false;
+  bool record = false;
   std::string series = "transport.link.bytes";
   std::string filter;
   long top = -1;
   std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    std::string arg = argv[i];
+    // "--filter SUB", "--top N" and "--series SUB" are read as "--filter=SUB" etc.
+    if ((arg == "--filter" || arg == "--top" || arg == "--series") && i + 1 < argc) {
+      arg += '=' + std::string(argv[++i]);
+    }
     if (arg == "--help" || arg == "-h") {
       print_usage(stdout);
       return 0;
@@ -732,8 +614,6 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(std::strlen("--filter="));
-    } else if (arg == "--filter" && i + 1 < argc) {
-      filter = argv[++i];
     } else if (arg.rfind("--top=", 0) == 0) {
       char* end = nullptr;
       top = std::strtol(arg.c_str() + std::strlen("--top="), &end, 10);
@@ -741,46 +621,23 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "metrics_diff: bad top '%s'\n", arg.c_str());
         return 2;
       }
-    } else if (arg == "--top" && i + 1 < argc) {
-      char* end = nullptr;
-      top = std::strtol(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || top < 0) {
-        std::fprintf(stderr, "metrics_diff: bad top '%s'\n", argv[i]);
-        return 2;
-      }
     } else if (arg.rfind("--series=", 0) == 0) {
       series = arg.substr(std::strlen("--series="));
-    } else if (arg == "--series" && i + 1 < argc) {
-      series = argv[++i];
     } else if (arg == "--check") {
       check = true;
-    } else if (arg == "--check-profile") {
-      check_profile = true;
-    } else if (arg == "--profile-diff") {
-      profile_diff = true;
-    } else if (arg == "--timeseries") {
-      timeseries = true;
-    } else if (arg == "--alerts") {
-      alerts = true;
+    } else if (arg == "--record") {
+      record = true;
     } else if (!arg.empty() && arg[0] == '-') {
       usage();
     } else {
       files.push_back(arg);
     }
   }
-  if (check + check_profile + profile_diff + timeseries + alerts > 1) usage();
-  if (alerts && files.size() == 1) return run_alerts(files[0]);
+  if (check && record) usage();
   if (check && files.size() == 1) return run_check(files[0], threshold);
-  if (check_profile && files.size() == 1) return run_check_profile(files[0]);
-  if (profile_diff && files.size() == 2) {
-    return run_profile_diff(files[0], files[1], threshold);
-  }
-  if (timeseries && files.size() == 1) return run_timeseries_check(files[0], series);
-  if (timeseries && files.size() == 2) {
-    return run_timeseries_diff(files[0], files[1], series, threshold);
-  }
-  if (!check && !check_profile && !profile_diff && !timeseries && !alerts &&
-      files.size() == 2) {
+  if (record && files.size() == 1) return run_record(files[0], series);
+  if (record && files.size() == 2) return run_record_diff(files[0], files[1], series, threshold);
+  if (!check && !record && files.size() == 2) {
     return run_diff(files[0], files[1], threshold, filter, top);
   }
   usage();

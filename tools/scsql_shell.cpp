@@ -3,15 +3,16 @@
 //   $ ./tools/scsql_shell query.scsql          # run a script file
 //   $ echo "select 1+2;" | ./tools/scsql_shell # or read stdin
 //
-// Options (environment variables, mirroring ExecOptions; an integer
-// that is not plain digits in range is an scsql error, exit status 1):
-//   SCSQ_BUFFER_BYTES   stream buffer size (default 65536)
-//   SCSQ_SEND_BUFFERS   1 = single, 2 = double buffering (default 2)
-//   SCSQ_MAX_RESULTS    stop condition (default 0 = unlimited)
-//   SCSQ_SMART_SELECT   1 = topology-aware node selection (default 0)
-//   SCSQ_VERBOSE        1 = per-RP monitoring dump after each query
-//   SCSQ_TRACE          path: write a Chrome-tracing JSON of the run
-//                       (open in chrome://tracing or Perfetto)
+// Settings: the SCSQ_* variables of exec/config.hpp, resolved once; a
+// bad value is an scsql error, exit status 1. SCSQ_BUFFER_BYTES,
+// SCSQ_SEND_BUFFERS, SCSQ_MAX_RESULTS, SCSQ_SMART_SELECT and
+// SCSQ_BATCH_SIZE set the ExecOptions; SCSQ_VERBOSE=1 prints the per-RP
+// table after each query; SCSQ_SAMPLE_INTERVAL pre-arms the sampler (as
+// \watch, without live lines) and SCSQ_MONITOR pre-registers a monitor
+// (as \monitor). SCSQ_TRACE=path writes a Chrome-tracing JSON of the
+// session (chrome://tracing or Perfetto). SCSQ_RECORD=path writes the
+// JSONL run record (exec/record.hpp): each statement's metrics, profile,
+// window and alert lines, and an error line for a statement that fails.
 //
 // Each query statement prints its result stream, the simulated elapsed
 // time, and the total stream volume — the same numbers the paper's
@@ -34,61 +35,45 @@
 //   \watch <interval_s> [series]
 //              arm the sim-time telemetry sampler: subsequent queries
 //              print one rate line per window (windows of <interval_s>
-//              simulated seconds) for counters whose key contains
-//              `series` (default transport.link.bytes). Lines are
-//              flushed as each window closes, so piping through
-//              `tail -f` (or watching a redirected file) shows the run
-//              live; Ctrl-C ends the shell cleanly mid-run. "\watch off"
-//              disarms. Sampling is observational: query results and
-//              timings are unchanged (DESIGN.md §5.7).
+//              simulated seconds, a finite decimal of at least 1e-6)
+//              for counters whose key contains `series` (default
+//              transport.link.bytes). Lines are flushed as each window
+//              closes, so piping through `tail -f` (or watching a
+//              redirected file) shows the run live; Ctrl-C ends the
+//              shell cleanly mid-run. "\watch off" disarms. Sampling is
+//              observational: query results and timings are unchanged
+//              (DESIGN.md §5.7).
 //   \monitor <query>
 //              register a continuous introspection query (DESIGN.md
 //              §5.8) over system.metrics / system.gauges /
 //              system.rates; it runs at every sampler window boundary of
-//              subsequent statements, and matched rows are reported
-//              after each statement (and appended to SCSQ_MONITOR_OUT
-//              as JSONL when set). Requires an armed sampler (\watch or
-//              SCSQ_SAMPLE_INTERVAL) to ever fire. Monitors are
-//              zero-perturbation: results and timings are byte-identical
-//              with monitors on or off.
+//              subsequent statements, and matched rows are counted
+//              after each statement (and written to the run record
+//              when SCSQ_RECORD is set). Requires an armed sampler
+//              (\watch or SCSQ_SAMPLE_INTERVAL) to ever fire. Monitors
+//              are zero-perturbation: results and timings are
+//              byte-identical with monitors on or off.
 //   \monitors  list registered monitors with their last-statement alert
 //              counts.
 //   \unmonitor [name]
 //              remove one monitor by name, or all monitors.
-//
-// Environment: SCSQ_SAMPLE_INTERVAL pre-arms the sampler, SCSQ_MONITOR
-// pre-registers a monitor query, SCSQ_MONITOR_OUT is the alert JSONL
-// side channel.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 #include "core/scsq.hpp"
+#include "exec/config.hpp"
+#include "exec/record.hpp"
 #include "sim/trace.hpp"
 #include "util/bytes.hpp"
-#include "util/strings.hpp"
 
 namespace {
-
-/// An integer setting from [lo, hi]: `fallback` when unset or empty;
-/// anything else util::parse_uint rejects is an scsql::Error naming the
-/// variable and the value.
-std::uint64_t env_uint(const char* name, std::uint64_t fallback, std::uint64_t lo,
-                       std::uint64_t hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  if (const auto n = scsq::util::parse_uint(v, lo, hi)) return *n;
-  throw scsq::scsql::Error(std::string(name) + " must be an integer from " +
-                           std::to_string(lo) + " to " + std::to_string(hi) + ", got '" +
-                           v + "'");
-}
 
 // Ctrl-C mid-run: emit a newline so a partial \watch line does not run
 // into the prompt, then exit with the conventional 128+SIGINT status.
@@ -178,8 +163,8 @@ void print_watch_summary(scsq::Scsq& scsq, const std::string& series) {
 }
 
 // Post-statement monitor summary: per-monitor alert counts for the
-// statement that just ran (the alert rows themselves go to
-// SCSQ_MONITOR_OUT).
+// statement that just ran (the alert rows themselves go to the run
+// record).
 void print_monitor_summary(scsq::Scsq& scsq) {
   const auto monitors = scsq.engine().monitors();
   if (monitors.empty()) return;
@@ -251,25 +236,18 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, on_sigint);
 
   // Everything from reading the settings on can reject bad input (an
-  // environment knob, a statement): report it as an scsql error.
+  // environment setting, a statement): report it as an scsql error.
   try {
-    scsq::ScsqConfig config;
-    config.exec.buffer_bytes = env_uint("SCSQ_BUFFER_BYTES", 64 * 1024, 1,
-                                        std::numeric_limits<std::uint64_t>::max());
-    config.exec.send_buffers = static_cast<int>(
-        env_uint("SCSQ_SEND_BUFFERS", 2, 1, std::numeric_limits<int>::max()));
-    config.exec.max_results = static_cast<std::size_t>(
-        env_uint("SCSQ_MAX_RESULTS", 0, 0, std::numeric_limits<std::size_t>::max()));
-    if (env_uint("SCSQ_SMART_SELECT", 0, 0, 1) == 1) {
-      config.exec.node_selection = scsq::exec::NodeSelection::kSpread;
-    }
-    const bool verbose = env_uint("SCSQ_VERBOSE", 0, 0, 1) == 1;
-    scsq::Scsq scsq(config);
+    const scsq::exec::Settings settings = scsq::exec::from_env();
+    std::ofstream record;
+    if (!settings.record_path.empty()) record = scsq::exec::open_record(settings);
+    scsq::Scsq scsq(settings.config);
+    scsq::exec::register_env_monitor(scsq.engine(), settings);
     scsq::sim::Trace trace;
-    const char* trace_path = std::getenv("SCSQ_TRACE");
-    if (trace_path != nullptr) scsq.machine().set_trace(&trace);
+    if (!settings.trace_path.empty()) scsq.machine().set_trace(&trace);
     scsq::exec::RunReport last_report;
     bool have_report = false;
+    std::size_t statements_run = 0;  // ordinal of the next statement in the record
     bool watch_on = scsq.engine().sampler().enabled();  // SCSQ_SAMPLE_INTERVAL
     std::string watch_series = "transport.link.bytes";
     // Live \watch: one flushed line per window, as the run progresses.
@@ -277,19 +255,44 @@ int main(int argc, char** argv) {
         [&](const scsq::obs::Sampler::Window& w, std::size_t) {
           if (watch_on) print_watch_window(w, watch_series);
         });
+    const auto run_statement = [&](const scsq::scsql::Statement& statement,
+                                   const std::string& tag) {
+      const std::string text = statement.query->to_string();
+      std::printf(">> %s;\n", text.c_str());
+      try {
+        last_report = scsq.engine().run_statement(statement);
+      } catch (const scsq::scsql::Error& e) {
+        record << scsq::exec::error_line(tag, text, e) << std::flush;
+        throw;
+      }
+      have_report = true;
+      print_report(last_report, settings.verbose);
+      if (watch_on) print_watch_summary(scsq, watch_series);
+      print_monitor_summary(scsq);
+      if (!record.is_open()) return;
+      record << scsq::exec::metrics_line(
+                    tag, text,
+                    {{"elapsed_s", last_report.elapsed_s},
+                     {"results", static_cast<double>(last_report.results.size())}},
+                    scsq::exec::registry_json(scsq.machine()))
+             << scsq::exec::run_lines(scsq.engine(), last_report, tag) << std::flush;
+    };
     const auto run_pending = [&](std::string& pending) {
-      for (const auto& statement : scsq::scsql::parse_script(pending)) {
+      const std::string tag = "\"statement\":" + std::to_string(statements_run);
+      std::vector<scsq::scsql::Statement> statements;
+      try {
+        statements = scsq::scsql::parse_script(pending);
+      } catch (const scsq::scsql::Error& e) {
+        record << scsq::exec::error_line(tag, pending, e) << std::flush;
+        throw;
+      }
+      for (const auto& statement : statements) {
         if (statement.function) {
           scsq.engine().register_function(statement.function);
           std::printf("-- registered function '%s'\n", statement.function->name.c_str());
           continue;
         }
-        std::printf(">> %s;\n", statement.query->to_string().c_str());
-        last_report = scsq.engine().run_statement(statement);
-        have_report = true;
-        print_report(last_report, verbose);
-        if (watch_on) print_watch_summary(scsq, watch_series);
-        print_monitor_summary(scsq);
+        run_statement(statement, "\"statement\":" + std::to_string(statements_run++));
       }
       pending.clear();
     };
@@ -339,18 +342,18 @@ int main(int argc, char** argv) {
           std::printf("-- watch off\n");
           continue;
         }
-        char* end = nullptr;
-        const double interval = std::strtod(word.c_str(), &end);
-        if (word.empty() || end == nullptr || *end != '\0' || interval <= 0.0) {
-          std::printf("-- usage: \\watch <interval_s> [series] | \\watch off\n");
+        const auto interval = scsq::exec::parse_interval(word);
+        if (!interval) {
+          std::printf("-- usage: \\watch <interval_s> [series] | \\watch off"
+                      " (interval: a decimal number of at least 1e-6 s)\n");
           continue;
         }
         std::string series;
         args >> series;
         if (!series.empty()) watch_series = series;
-        scsq.engine().set_sample_interval(interval);
+        scsq.engine().set_sample_interval(*interval);
         watch_on = true;
-        std::printf("-- watch on: %g s windows, series '%s'\n", interval,
+        std::printf("-- watch on: %g s windows, series '%s'\n", *interval,
                     watch_series.c_str());
         continue;
       }
@@ -424,10 +427,11 @@ int main(int argc, char** argv) {
       print_profile(scsq, have_report ? &last_report : nullptr);
     }
     run_pending(pending);
-    if (trace_path != nullptr) {
-      std::ofstream out(trace_path);
+    if (!settings.trace_path.empty()) {
+      std::ofstream out(settings.trace_path);
       trace.write_json(out);
-      std::printf("-- trace (%zu events) written to %s\n", trace.size(), trace_path);
+      std::printf("-- trace (%zu events) written to %s\n", trace.size(),
+                  settings.trace_path.c_str());
     }
   } catch (const scsq::scsql::Error& e) {
     std::fprintf(stderr, "scsql error: %s\n", e.what());
