@@ -827,8 +827,7 @@ transport::ReceiverDriver& Engine::connect(const SpHandle& producer_handle, Rp& 
       machine_->sim(), driver_params_for(consumer.loc),
       machine_->cpu_of(consumer.loc)));
   auto& rx = *consumer.receivers.back();
-  auto link = transport::make_link(*machine_, producer.loc, consumer.loc, rx.inbox(),
-                                   producer.id);
+  auto link = transport::make_link(*machine_, producer.loc, consumer.loc, rx.inbox());
   if (auto* trace = machine_->trace()) {
     link->set_flow_trace(trace, "rp" + std::to_string(producer.id),
                          "rp" + std::to_string(consumer.id));
@@ -849,7 +848,7 @@ transport::ReceiverDriver& Engine::connect(const SpHandle& producer_handle, Rp& 
   }
   producer.senders.push_back(std::make_unique<transport::SenderDriver>(
       machine_->sim(), driver_params_for(producer.loc),
-      machine_->cpu_of(producer.loc), std::move(link), producer.id));
+      machine_->cpu_of(producer.loc), std::move(link)));
   producer.consumer_ids.push_back(consumer.id);
   return rx;
 }

@@ -13,38 +13,60 @@ using scsql::Error;
 using scsql::ExprKind;
 using scsql::ExprPtr;
 
+// An operand of an arithmetic or ordering operator as a number. Any
+// other kind is an error at the operator.
+double numeric_operand(BinOp op, const Object& v, scsql::SourcePos pos) {
+  if (v.kind() != Kind::kInt && v.kind() != Kind::kReal) {
+    throw Error(std::string("operator ") + scsql::binop_name(op) + " needs numbers, not " +
+                    catalog::kind_name(v.kind()),
+                pos);
+  }
+  return v.as_number();
+}
+
 Object eval_binary(BinOp op, const Object& lhs, const Object& rhs, scsql::SourcePos pos) {
+  if (op == BinOp::kEq) return Object{lhs == rhs};
+  if (op == BinOp::kNe) return Object{!(lhs == rhs)};
+  const double a = numeric_operand(op, lhs, pos);
+  const double b = numeric_operand(op, rhs, pos);
   const bool both_int = lhs.kind() == Kind::kInt && rhs.kind() == Kind::kInt;
+  // Integer arithmetic is checked: a result outside int64 is an error.
+  std::int64_t r = 0;
+  auto checked = [&](bool overflow) {
+    if (overflow) throw Error(std::string("integer overflow in ") + scsql::binop_name(op), pos);
+    return Object{r};
+  };
   switch (op) {
     case BinOp::kAdd:
-      if (both_int) return Object{lhs.as_int() + rhs.as_int()};
-      return Object{lhs.as_number() + rhs.as_number()};
+      if (both_int) return checked(__builtin_add_overflow(lhs.as_int(), rhs.as_int(), &r));
+      return Object{a + b};
     case BinOp::kSub:
-      if (both_int) return Object{lhs.as_int() - rhs.as_int()};
-      return Object{lhs.as_number() - rhs.as_number()};
+      if (both_int) return checked(__builtin_sub_overflow(lhs.as_int(), rhs.as_int(), &r));
+      return Object{a - b};
     case BinOp::kMul:
-      if (both_int) return Object{lhs.as_int() * rhs.as_int()};
-      return Object{lhs.as_number() * rhs.as_number()};
-    case BinOp::kDiv: {
-      const double d = rhs.as_number();
-      if (d == 0.0) throw Error("division by zero", pos);
-      if (both_int && lhs.as_int() % rhs.as_int() == 0) {
-        return Object{lhs.as_int() / rhs.as_int()};
+      if (both_int) return checked(__builtin_mul_overflow(lhs.as_int(), rhs.as_int(), &r));
+      return Object{a * b};
+    case BinOp::kDiv:
+      if (b == 0.0) throw Error("division by zero", pos);
+      if (both_int) {
+        const std::int64_t x = lhs.as_int();
+        const std::int64_t y = rhs.as_int();
+        // x / -1 is -x, which overflows for INT64_MIN (as does x % -1).
+        if (y == -1) return checked(__builtin_sub_overflow(std::int64_t{0}, x, &r));
+        if (x % y == 0) return Object{x / y};
       }
-      return Object{lhs.as_number() / d};
-    }
-    case BinOp::kEq:
-      return Object{lhs == rhs};
-    case BinOp::kNe:
-      return Object{!(lhs == rhs)};
+      return Object{a / b};
     case BinOp::kLt:
-      return Object{lhs.as_number() < rhs.as_number()};
+      return Object{a < b};
     case BinOp::kLe:
-      return Object{lhs.as_number() <= rhs.as_number()};
+      return Object{a <= b};
     case BinOp::kGt:
-      return Object{lhs.as_number() > rhs.as_number()};
+      return Object{a > b};
     case BinOp::kGe:
-      return Object{lhs.as_number() >= rhs.as_number()};
+      return Object{a >= b};
+    case BinOp::kEq:
+    case BinOp::kNe:
+      break;  // answered above
   }
   throw Error("unknown operator", pos);
 }
@@ -151,8 +173,9 @@ Object eval_const(const ExprPtr& expr, const Env& env, hw::Machine* machine) {
                          eval_const(expr->args[1], env, machine), expr->pos);
     case ExprKind::kNeg: {
       Object v = eval_const(expr->args[0], env, machine);
-      if (v.kind() == Kind::kInt) return Object{-v.as_int()};
-      return Object{-v.as_number()};
+      if (v.kind() == Kind::kReal) return Object{-v.as_real()};
+      // Integers negate as 0 - v, checked; other kinds are an error.
+      return eval_binary(BinOp::kSub, Object{std::int64_t{0}}, v, expr->pos);
     }
     case ExprKind::kCall:
       return eval_call(*expr, env, machine);

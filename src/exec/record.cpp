@@ -74,7 +74,6 @@ std::string registry_json(hw::Machine& machine) {
 std::string metrics_line(std::string_view tag, std::string_view query,
                          std::initializer_list<Field> fields, std::string_view registry) {
   std::ostringstream os;
-  os.precision(17);
   os << "{\"kind\":\"metrics\"," << tag << ",\"query\":";
   util::json::write_string(os, query);
   write_fields(os, fields);
@@ -109,7 +108,6 @@ std::string error_line(std::string_view tag, std::string_view text, const scsql:
 
 std::string harness_line(std::initializer_list<Field> fields) {
   std::ostringstream os;
-  os.precision(17);
   os << "{\"kind\":\"harness\"";
   write_fields(os, fields);
   os << "}\n";

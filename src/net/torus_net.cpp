@@ -147,33 +147,13 @@ double TorusNetwork::link_busy_seconds(int from, int to) const {
   return it == links_.end() ? 0.0 : it->second->busy_seconds();
 }
 
-void TorusNetwork::transmit_async(const TorusPath& path, std::uint64_t payload_bytes,
-                                  std::uint64_t source_tag, sim::Event* sender_free,
-                                  sim::Event* delivered) {
-  sim_->spawn(transmit_impl(path, payload_bytes, source_tag, sender_free, delivered));
+sim::Task<void> TorusNetwork::transmit(int from, int to, std::uint64_t payload_bytes) {
+  const TorusPath path = compile_path(from, to);
+  co_await send(path, payload_bytes, nullptr);
 }
 
-sim::Task<void> TorusNetwork::transmit(int from, int to, std::uint64_t payload_bytes,
-                                       std::uint64_t source_tag) {
-  return transmit_owned(compile_path(from, to), payload_bytes, source_tag, nullptr, nullptr);
-}
-
-void TorusNetwork::transmit_async(int from, int to, std::uint64_t payload_bytes,
-                                  std::uint64_t source_tag, sim::Event* sender_free,
-                                  sim::Event* delivered) {
-  sim_->spawn(
-      transmit_owned(compile_path(from, to), payload_bytes, source_tag, sender_free, delivered));
-}
-
-sim::Task<void> TorusNetwork::transmit_owned(TorusPath path, std::uint64_t payload_bytes,
-                                             std::uint64_t source_tag,
-                                             sim::Event* sender_free, sim::Event* delivered) {
-  co_await transmit_impl(path, payload_bytes, source_tag, sender_free, delivered);
-}
-
-sim::Task<void> TorusNetwork::transmit_impl(const TorusPath& path, std::uint64_t payload_bytes,
-                                            std::uint64_t source_tag,
-                                            sim::Event* sender_free, sim::Event* delivered) {
+sim::Task<void> TorusNetwork::send(const TorusPath& path, std::uint64_t payload_bytes,
+                                   sim::Resource* send_slots) {
   // A copy: messages of another size may re-memoize the path while this
   // one is in flight.
   const TorusPath::Costs c = costs(path, payload_bytes);
@@ -187,12 +167,12 @@ sim::Task<void> TorusNetwork::transmit_impl(const TorusPath& path, std::uint64_t
   const std::size_t hops = path.hops.size();
   if (hops == 0) {
     // Self-delivery (not used by real queries, but keeps the model total).
-    if (sender_free) sender_free->set();
+    if (send_slots) send_slots->release();
   }
 
   for (std::size_t i = 0; i < hops; ++i) {
     co_await path.hops[i].link->use(c.wire_s);
-    if (i == 0 && sender_free) sender_free->set();
+    if (i == 0 && send_slots) send_slots->release();
     if (i + 1 < hops) {
       // Store-and-forward through the intermediate node's co-processor.
       co_await path.hops[i].coproc->use(c.forward_hold_s);
@@ -202,14 +182,12 @@ sim::Task<void> TorusNetwork::transmit_impl(const TorusPath& path, std::uint64_t
   // Receive handling at the destination. With k live inbound streams,
   // interleaved arrivals make the single-threaded co-processor switch
   // sources on an expected (k-1)/k of the messages.
-  (void)source_tag;
   const int streams = std::max(1, inbound_streams_[path.to]);
   const double switch_cost = params_.source_switch_penalty_s *
                              static_cast<double>(streams - 1) /
                              static_cast<double>(streams);
   switch_seconds_by_dst_[static_cast<std::size_t>(path.to)] += switch_cost;
   co_await path.dst_coproc->use(c.recv_hold_s + switch_cost);
-  if (delivered) delivered->set();
 }
 
 }  // namespace scsq::net

@@ -72,7 +72,7 @@ struct TorusParams {
 /// co-processor and directed link a message holds, in order, plus a memo
 /// of the payload-size-dependent costs. A stream compiles its path when it is wired and reuses it for
 /// every message, so the per-message work is the resource holds alone.
-/// The path must outlive every transfer started on it.
+/// The path must outlive every message sent on it.
 struct TorusPath {
   int from = 0;
   int to = 0;
@@ -114,28 +114,20 @@ class TorusNetwork {
   /// link on it that does not exist yet.
   TorusPath compile_path(int from, int to);
 
-  /// Starts transferring one message of `payload_bytes` along `path` in
-  /// the background. `source_tag` identifies
-  /// the logical stream; distinct producers must pass distinct tags.
-  /// `sender_free` (if non-null) is set once the payload has fully left
-  /// the sending node (send buffer reusable — how the MPI driver
-  /// overlaps marshalling with transmission when double buffering);
-  /// `delivered` (if non-null) is set when the destination co-processor
-  /// has handled the message. The path and both events must outlive the
-  /// transfer. Messages on one path stay ordered (all resources are
-  /// FIFO).
-  void transmit_async(const TorusPath& path, std::uint64_t payload_bytes,
-                      std::uint64_t source_tag, sim::Event* sender_free,
-                      sim::Event* delivered);
+  /// The message coroutine: carries one message of `payload_bytes` along
+  /// `path` and completes when the destination co-processor has handled
+  /// it. Once the payload has fully left the sending node it releases one
+  /// slot of `send_slots` (if non-null): the send buffer is reusable, so
+  /// the MPI driver marshals the next buffer while this one is still in
+  /// flight when double buffering. The path must outlive the message.
+  /// Messages on one path stay ordered (all resources are FIFO).
+  sim::Task<void> send(const TorusPath& path, std::uint64_t payload_bytes,
+                       sim::Resource* send_slots);
 
-  /// One-off forms that compile the route from `from` to `to` first.
-  /// transmit() completes when the destination co-processor has handled
-  /// the message.
-  sim::Task<void> transmit(int from, int to, std::uint64_t payload_bytes,
-                           std::uint64_t source_tag);
-  void transmit_async(int from, int to, std::uint64_t payload_bytes,
-                      std::uint64_t source_tag, sim::Event* sender_free,
-                      sim::Event* delivered);
+  /// One-off form: compiles the route from `from` to `to`, owns it for
+  /// the message, and completes when the destination co-processor has
+  /// handled the message.
+  sim::Task<void> transmit(int from, int to, std::uint64_t payload_bytes);
 
   /// Number of full torus packets a payload occupies.
   std::uint32_t packets_for(std::uint64_t payload_bytes) const;
@@ -174,7 +166,7 @@ class TorusNetwork {
   /// *used* directed link (labeled from/to), torus.coproc.busy_s per
   /// busy co-processor, and torus.messages / torus.packets /
   /// torus.rendezvous_messages / torus.payload_bytes counters. The
-  /// per-message totals are kept as plain members on the transmit path
+  /// per-message totals are kept as plain members on the send path
   /// (single increments) and copied over here, so transmissions never
   /// touch the registry.
   void publish_metrics(obs::Registry& registry) const;
@@ -183,15 +175,6 @@ class TorusNetwork {
   sim::Resource& link(int from, int to);
   /// The path's memoized costs for a `payload_bytes` message.
   const TorusPath::Costs& costs(const TorusPath& path, std::uint64_t payload_bytes) const;
-  /// The message coroutine: every hold of one message on a compiled path.
-  sim::Task<void> transmit_impl(const TorusPath& path, std::uint64_t payload_bytes,
-                                std::uint64_t source_tag, sim::Event* sender_free,
-                                sim::Event* delivered);
-  /// The one-off forms: keeps the compiled path alive for the message.
-  sim::Task<void> transmit_owned(TorusPath path, std::uint64_t payload_bytes,
-                                 std::uint64_t source_tag, sim::Event* sender_free,
-                                 sim::Event* delivered);
-
   sim::Simulator* sim_;
   Torus3D topology_;
   TorusParams params_;

@@ -1,6 +1,7 @@
 #include "scsql/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -160,7 +161,10 @@ Token Lexer::next() {
       t.real_val = std::strtod(num.c_str(), nullptr);
     } else {
       t.kind = Tok::kInt;
-      t.int_val = std::strtoll(num.c_str(), nullptr, 10);
+      // `num` is all digits, so the one possible failure is a value past
+      // int64.
+      const auto res = std::from_chars(num.data(), num.data() + num.size(), t.int_val);
+      if (res.ec != std::errc{}) throw Error("integer literal " + num + " is out of range", t.pos);
     }
     return t;
   }

@@ -267,8 +267,9 @@ class Simulator {
 /// is called; set() wakes all current and future waiters, oldest first.
 ///
 /// The first waiter is kept inline and only later ones spill into a
-/// vector: the common single-waiter event (a transfer's sender-free and
-/// delivered signals, a link's drained latch) never touches the heap.
+/// vector: the common single-waiter event (a link's drained latch, which
+/// its sender driver awaits at the end of a stream) never touches the
+/// heap.
 class Event {
  public:
   explicit Event(Simulator& sim) : sim_(&sim) {}

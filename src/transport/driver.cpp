@@ -21,6 +21,7 @@ sim::Task<void> Link::run(Frame* frame, sim::Resource& send_slots) {
   co_await window_.acquire();
   const double window_wait = sim_->now() - t0;
   co_await transmit_one(frame, send_slots);
+  co_await inbox_->send(frame);
   window_.release();
   const double t1 = sim_->now();
   // Scalar accounting batches across the burst of in-flight frames; the
@@ -90,14 +91,15 @@ sim::Task<void> Link::run_pipelined(Frame* frame, sim::Resource& send_slots) {
 }
 
 sim::Task<void> Link::dst_run(Frame* frame) {
-  // Read everything first: once dst_receive has delivered the frame the
-  // receiver may recycle it.
+  // Read everything first: once the frame is in the inbox the receiver
+  // may recycle it.
   const bool eos = frame->eos;
   const std::uint64_t payload = frame->bytes;
   const double t0 = frame->queued_at;
   const double window_wait = frame->window_wait;
   const bool stalled = frame->stalled;
   co_await dst_receive(frame);
+  co_await inbox_->send(frame);
   const double t1 = sim_->now();
   batch_.frames += 1;
   batch_.payload_bytes += payload;
@@ -136,12 +138,11 @@ FramePool& required_pool(const DriverParams& params) {
 }  // namespace
 
 SenderDriver::SenderDriver(sim::Simulator& sim, DriverParams params, sim::Resource& cpu,
-                           std::unique_ptr<Link> link, std::uint64_t producer_tag)
+                           std::unique_ptr<Link> link)
     : sim_(&sim),
       params_(params),
       cpu_(&cpu),
       link_(std::move(link)),
-      tag_(producer_tag),
       cutter_(params.buffer_bytes, required_pool(params)),
       slots_(sim, params.send_buffers, "sendbuf"),
       outbox_(sim, 1) {
@@ -215,7 +216,6 @@ sim::Task<void> SenderDriver::finish() {
 sim::Task<void> SenderDriver::drain() {
   while (auto next = co_await outbox_.recv()) {
     Frame* frame = *next;
-    frame->producer = tag_;
     // Wait for a free send buffer: with a single buffer this serializes
     // marshal and transmit; with two, marshal of frame i+1 overlaps the
     // transmission of frame i.

@@ -107,11 +107,14 @@ struct LinkStats {
 /// frames inside the network resources.
 ///
 /// A link carries a frame one of two ways. Sequential links (MPI, local)
-/// implement transmit_one(): one coroutine per frame runs every hold up
-/// to the inbox delivery and then frees the window slot. Pipelined links
-/// (every TCP link) implement src_transmit() and dst_receive(): the
-/// source half claims the completion time of the source NIC and
-/// schedules the destination half at that time, and the window slot
+/// implement transmit_one(): one coroutine per frame runs every hold,
+/// hands the frame to the inbox and then frees the window slot; an MPI
+/// frame's holds are the torus message itself (net::TorusNetwork::send),
+/// so the frame costs that one spawned coroutine and the nested message.
+/// Pipelined links (every TCP link) implement src_transmit() and
+/// dst_receive(): the source half claims the completion time of the
+/// source NIC and schedules the destination half at that time, which
+/// hands the frame to the inbox after the receive holds; the window slot
 /// frees one credit latency after delivery (the flow-control round trip).
 ///
 /// Frames travel as pool handles (`Frame*`): the link never copies or
@@ -128,12 +131,13 @@ class Link {
     double delivery_skew_s = 0.0;
   };
 
-  /// A sequential link.
-  explicit Link(sim::Simulator& sim, int window = kDefaultWindow)
-      : sim_(&sim), drained_(sim), window_(sim, window, "linkwin") {}
+  /// A sequential link delivering into `inbox`.
+  Link(sim::Simulator& sim, sim::Channel<Frame*>& inbox, int window = kDefaultWindow)
+      : sim_(&sim), inbox_(&inbox), drained_(sim), window_(sim, window, "linkwin") {}
 
-  /// A pipelined link.
-  Link(sim::Simulator& sim, const Pipeline& pipeline) : Link(sim) {
+  /// A pipelined link delivering into `inbox`.
+  Link(sim::Simulator& sim, sim::Channel<Frame*>& inbox, const Pipeline& pipeline)
+      : Link(sim, inbox) {
     SCSQ_CHECK(pipeline.credit_latency_s > 0.0)
         << "pipelined link needs a positive credit latency";
     pipeline_ = pipeline;
@@ -178,9 +182,10 @@ class Link {
   }
 
  protected:
-  /// Sequential links: carries one frame to the inbox, releasing a
-  /// `send_slots` slot as soon as the send buffer is reusable. The
-  /// default aborts (pipelined links never call it).
+  /// Sequential links: every hold of one frame up to its delivery,
+  /// releasing a `send_slots` slot as soon as the send buffer is
+  /// reusable; run() then hands the frame to the inbox. The default
+  /// aborts (pipelined links never call it).
   virtual sim::Task<void> transmit_one(Frame* frame, sim::Resource& send_slots);
 
   /// Pipelined links, source half: source-side resource holds only.
@@ -191,8 +196,8 @@ class Link {
   /// aborts (sequential links never call it).
   virtual sim::Task<void> src_transmit(Frame* frame, sim::Resource& send_slots);
 
-  /// Pipelined links, destination half: receive-side resource holds
-  /// plus the inbox delivery.
+  /// Pipelined links, destination half: receive-side resource holds;
+  /// dst_run() then hands the frame to the inbox.
   virtual sim::Task<void> dst_receive(Frame* frame);
 
   /// Schedules the destination half of a pipelined transmit at absolute
@@ -216,12 +221,14 @@ class Link {
   sim::Simulator& sim() { return *sim_; }
 
  private:
+  /// Sequential: window admission, transmit_one, the inbox hand-off and
+  /// the accounting.
   sim::Task<void> run(Frame* frame, sim::Resource& send_slots);
   /// Pipelined source half: window admission, then src_transmit (which
   /// announces the destination half).
   sim::Task<void> run_pipelined(Frame* frame, sim::Resource& send_slots);
-  /// Pipelined destination half: dst_receive, then accounting and the
-  /// window credit.
+  /// Pipelined destination half: dst_receive, the inbox hand-off, then
+  /// accounting and the window credit.
   sim::Task<void> dst_run(Frame* frame);
 
   /// Scalar stats accumulated across a burst of in-flight frames and
@@ -239,6 +246,7 @@ class Link {
   void flush_batch() const;
 
   sim::Simulator* sim_;
+  sim::Channel<Frame*>* inbox_;
   sim::Event drained_;
   sim::Resource window_;
   LinkMetrics metrics_;
@@ -254,10 +262,9 @@ class Link {
 
 class SenderDriver {
  public:
-  /// `cpu` is the compute CPU marshal work is charged to; `producer_tag`
-  /// identifies the producing RP (network source tag).
+  /// `cpu` is the compute CPU marshal work is charged to.
   SenderDriver(sim::Simulator& sim, DriverParams params, sim::Resource& cpu,
-               std::unique_ptr<Link> link, std::uint64_t producer_tag);
+               std::unique_ptr<Link> link);
 
   /// Appends one object to the stream; suspends for marshal cost and for
   /// buffer availability (this is where single vs. double buffering
@@ -293,7 +300,6 @@ class SenderDriver {
   DriverParams params_;
   sim::Resource* cpu_;
   std::unique_ptr<Link> link_;
-  std::uint64_t tag_;
   FrameCutter cutter_;
   sim::Resource slots_;  // send buffers: capacity 1 (single) or 2 (double)
   sim::Channel<Frame*> outbox_;

@@ -46,7 +46,6 @@ struct Frame {
   std::uint64_t bytes = 0;  // marshaled payload bytes carried by this buffer
   std::vector<catalog::Object> objects;  // objects completed by this frame
   bool eos = false;         // final frame of the stream
-  std::uint64_t producer = 0;  // source RP id (network source tag)
   std::uint64_t seq = 0;       // frame sequence number within the stream
   // A pipelined link's per-frame accounting while the frame is in
   // flight: written by the source half, read by the destination half
@@ -93,7 +92,6 @@ class FramePool {
     f->bytes = 0;
     f->objects.clear();  // keeps capacity — the point of the pool
     f->eos = false;
-    f->producer = 0;
     f->seq = 0;
     f->queued_at = 0.0;
     f->window_wait = 0.0;

@@ -23,13 +23,11 @@ Link::Pipeline tcp_pipeline(hw::Machine& machine) {
 // ---------------------------------------------------------------------
 
 MpiLink::MpiLink(hw::Machine& machine, int src_rank, int dst_rank,
-                 sim::Channel<Frame*>& inbox, std::uint64_t source_tag)
-    : Link(machine.sim()),
+                 sim::Channel<Frame*>& inbox)
+    : Link(machine.sim(), inbox),
       machine_(&machine),
       dst_(dst_rank),
-      path_(machine.bg().torus().compile_path(src_rank, dst_rank)),
-      inbox_(&inbox),
-      tag_(source_tag) {
+      path_(machine.bg().torus().compile_path(src_rank, dst_rank)) {
   machine_->bg().torus().register_inbound_stream(dst_);
   registered_ = true;
 }
@@ -51,13 +49,7 @@ std::uint64_t MpiLink::wire_bytes_for(std::uint64_t payload_bytes) const {
 }
 
 sim::Task<void> MpiLink::transmit_one(Frame* frame, sim::Resource& send_slots) {
-  sim::Event freed(sim());
-  sim::Event delivered(sim());
-  machine_->bg().torus().transmit_async(path_, frame->bytes, tag_, &freed, &delivered);
-  co_await freed.wait();
-  send_slots.release();
-  co_await delivered.wait();
-  co_await inbox_->send(frame);
+  return machine_->bg().torus().send(path_, frame->bytes, &send_slots);
 }
 
 // ---------------------------------------------------------------------
@@ -66,13 +58,12 @@ sim::Task<void> MpiLink::transmit_one(Frame* frame, sim::Resource& send_slots) {
 
 TcpToBgLink::TcpToBgLink(hw::Machine& machine, const hw::Location& src, int dst_rank,
                          sim::Channel<Frame*>& inbox)
-    : Link(machine.sim(), tcp_pipeline(machine)),
+    : Link(machine.sim(), inbox, tcp_pipeline(machine)),
       machine_(&machine),
       dst_rank_(dst_rank),
       pset_(machine.bg().pset_of(dst_rank)),
       src_host_(machine.fabric_host_of(src)),
-      io_host_(machine.bg().io_fabric_host(pset_)),
-      inbox_(&inbox) {
+      io_host_(machine.bg().io_fabric_host(pset_)) {
   flow_ = machine.fabric().open_flow(src_host_, io_host_);
   flow_open_ = true;
   machine.register_bg_inbound(dst_rank_);
@@ -110,7 +101,6 @@ sim::Task<void> TcpToBgLink::dst_receive(Frame* frame) {
   co_await machine_->bg().tree().forward_inbound(pset_, dst_rank_, frame->bytes,
                                                  machine_->io_coordination_factor(),
                                                  machine_->compute_mux_factor(dst_rank_));
-  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -119,13 +109,12 @@ sim::Task<void> TcpToBgLink::dst_receive(Frame* frame) {
 
 TcpFromBgLink::TcpFromBgLink(hw::Machine& machine, int src_rank, const hw::Location& dst,
                              sim::Channel<Frame*>& inbox)
-    : Link(machine.sim(), tcp_pipeline(machine)),
+    : Link(machine.sim(), inbox, tcp_pipeline(machine)),
       machine_(&machine),
       src_rank_(src_rank),
       pset_(machine.bg().pset_of(src_rank)),
       io_host_(machine.bg().io_fabric_host(pset_)),
-      dst_host_(machine.fabric_host_of(dst)),
-      inbox_(&inbox) {
+      dst_host_(machine.fabric_host_of(dst)) {
   flow_ = machine.fabric().open_flow(io_host_, dst_host_);
   flow_open_ = true;
 }
@@ -158,7 +147,6 @@ sim::Task<void> TcpFromBgLink::src_transmit(Frame* frame, sim::Resource& send_sl
 sim::Task<void> TcpFromBgLink::dst_receive(Frame* frame) {
   co_await machine_->fabric().rx_nic(dst_host_).use(
       machine_->fabric().wire_time(frame->bytes));
-  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -167,11 +155,10 @@ sim::Task<void> TcpFromBgLink::dst_receive(Frame* frame) {
 
 TcpPlainLink::TcpPlainLink(hw::Machine& machine, const hw::Location& src,
                            const hw::Location& dst, sim::Channel<Frame*>& inbox)
-    : Link(machine.sim(), tcp_pipeline(machine)),
+    : Link(machine.sim(), inbox, tcp_pipeline(machine)),
       machine_(&machine),
       src_host_(machine.fabric_host_of(src)),
-      dst_host_(machine.fabric_host_of(dst)),
-      inbox_(&inbox) {
+      dst_host_(machine.fabric_host_of(dst)) {
   flow_ = machine.fabric().open_flow(src_host_, dst_host_);
   flow_open_ = true;
 }
@@ -199,7 +186,6 @@ sim::Task<void> TcpPlainLink::src_transmit(Frame* frame, sim::Resource& send_slo
 sim::Task<void> TcpPlainLink::dst_receive(Frame* frame) {
   co_await machine_->fabric().rx_nic(dst_host_).use(
       machine_->fabric().wire_time(frame->bytes));
-  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -213,12 +199,11 @@ constexpr double kLocalHandoffSeconds = 2.0e-6;
 }  // namespace
 
 LocalLink::LocalLink(hw::Machine& machine, sim::Channel<Frame*>& inbox)
-    : Link(machine.sim()), inbox_(&inbox) {}
+    : Link(machine.sim(), inbox) {}
 
-sim::Task<void> LocalLink::transmit_one(Frame* frame, sim::Resource& send_slots) {
+sim::Task<void> LocalLink::transmit_one(Frame*, sim::Resource& send_slots) {
   co_await sim().delay(kLocalHandoffSeconds);
   send_slots.release();
-  co_await inbox_->send(frame);
 }
 
 // ---------------------------------------------------------------------
@@ -249,8 +234,7 @@ void attach_metrics(Link& link, hw::Machine& machine, const char* type,
 }  // namespace
 
 std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
-                                const hw::Location& dst, sim::Channel<Frame*>& inbox,
-                                std::uint64_t source_tag) {
+                                const hw::Location& dst, sim::Channel<Frame*>& inbox) {
   const bool src_bg = src.cluster == hw::kBlueGene;
   const bool dst_bg = dst.cluster == hw::kBlueGene;
   std::unique_ptr<Link> link;
@@ -259,7 +243,7 @@ std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
     link = std::make_unique<LocalLink>(machine, inbox);
     type = "local";
   } else if (src_bg && dst_bg) {
-    link = std::make_unique<MpiLink>(machine, src.node, dst.node, inbox, source_tag);
+    link = std::make_unique<MpiLink>(machine, src.node, dst.node, inbox);
     type = "mpi";
   } else if (!src_bg && dst_bg) {
     link = std::make_unique<TcpToBgLink>(machine, src, dst.node, inbox);

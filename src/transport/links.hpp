@@ -24,11 +24,11 @@ namespace scsq::transport {
 
 class MpiLink final : public Link {
  public:
-  MpiLink(hw::Machine& machine, int src_rank, int dst_rank, sim::Channel<Frame*>& inbox,
-          std::uint64_t source_tag);
+  MpiLink(hw::Machine& machine, int src_rank, int dst_rank, sim::Channel<Frame*>& inbox);
   ~MpiLink() override;
 
  protected:
+  /// The frame's torus message itself (not a coroutine of its own).
   sim::Task<void> transmit_one(Frame* frame, sim::Resource& send_slots) override;
   void stream_ended() override;
   /// Rounds up to full torus packets: a partially filled final packet
@@ -41,8 +41,6 @@ class MpiLink final : public Link {
   hw::Machine* machine_;
   int dst_;
   net::TorusPath path_;  // compiled once; every frame's message reads it
-  sim::Channel<Frame*>* inbox_;
-  std::uint64_t tag_;
   bool registered_ = false;
 };
 
@@ -65,7 +63,6 @@ class TcpToBgLink final : public Link {
   int pset_;
   int src_host_;
   int io_host_;
-  sim::Channel<Frame*>* inbox_;
   net::FlowId flow_ = 0;
   bool flow_open_ = false;
 };
@@ -89,7 +86,6 @@ class TcpFromBgLink final : public Link {
   int pset_;
   int io_host_;
   int dst_host_;
-  sim::Channel<Frame*>* inbox_;
   net::FlowId flow_ = 0;
   bool flow_open_ = false;
 };
@@ -111,7 +107,6 @@ class TcpPlainLink final : public Link {
   hw::Machine* machine_;
   int src_host_;
   int dst_host_;
-  sim::Channel<Frame*>* inbox_;
   net::FlowId flow_ = 0;
   bool flow_open_ = false;
 };
@@ -122,16 +117,11 @@ class LocalLink final : public Link {
 
  protected:
   sim::Task<void> transmit_one(Frame* frame, sim::Resource& send_slots) override;
-
- private:
-  sim::Channel<Frame*>* inbox_;
 };
 
-/// Builds the appropriate link between two RP locations. `source_tag`
-/// must uniquely identify the producing RP. MPI and local links are
-/// sequential; every TCP link is pipelined (see Link).
+/// Builds the appropriate link between two RP locations. MPI and local
+/// links are sequential; every TCP link is pipelined (see Link).
 std::unique_ptr<Link> make_link(hw::Machine& machine, const hw::Location& src,
-                                const hw::Location& dst, sim::Channel<Frame*>& inbox,
-                                std::uint64_t source_tag);
+                                const hw::Location& dst, sim::Channel<Frame*>& inbox);
 
 }  // namespace scsq::transport

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <ostream>
@@ -336,7 +337,9 @@ void write_string(std::ostream& os, std::string_view s) {
 
 void write_number(std::ostream& os, double v) {
   if (std::isfinite(v)) {
-    os << v;
+    char buf[32];  // the longest shortest form of a double is 24 characters
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    os.write(buf, res.ptr - buf);
   } else {
     os << '"' << (std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf")) << '"';
   }

@@ -88,8 +88,9 @@ void write_escaped(std::ostream& os, std::string_view s);
 /// write_escaped between double quotes.
 void write_string(std::ostream& os, std::string_view s);
 
-/// Writes `v` at the stream's precision. JSON numbers must be finite, so
-/// a non-finite value (an unbounded histogram bucket, a rate over a
+/// Writes `v` in the shortest form that parses back to the same double,
+/// whatever the stream's precision. JSON numbers must be finite, so a
+/// non-finite value (an unbounded histogram bucket, a rate over a
 /// zero-length span) is written as the string "inf", "-inf" or "nan".
 void write_number(std::ostream& os, double v);
 

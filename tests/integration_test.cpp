@@ -202,6 +202,32 @@ TEST(Inbound, TcpTieSkewTimelineIsPinned) {
   EXPECT_EQ(second.elapsed_s, 0x1.68984e4e1336ap-4) << std::hexfloat << second.elapsed_s;
 }
 
+// The MPI twin of the test above. Rounded to 0.1 Mbit/s, the golden
+// tables miss a change in the order of same-time torus events (a send
+// slot's release, a frame's hand-off to the inbox), so this test pins
+// the exact elapsed times of a sub-KB point-to-point stream with single
+// and with double buffering (Fig. 6) and of a merge whose second stream
+// is forwarded through the first producer's node (Fig. 8, sequential).
+TEST(MpiStreams, TimelineIsPinned) {
+  const std::string p2p =
+      "select extract(b) from sp a, sp b "
+      "where b=sp(streamof(count(extract(a))),'bg',0) "
+      "and a=sp(gen_array(30000,5),'bg',1);";
+  auto elapsed = [](int send_buffers, const std::string& query) {
+    ScsqConfig cfg;
+    cfg.exec.buffer_bytes = 500;
+    cfg.exec.send_buffers = send_buffers;
+    Scsq scsq(cfg);
+    return scsq.run(query).elapsed_s;
+  };
+  const double single = elapsed(1, p2p);
+  const double dbl = elapsed(2, p2p);
+  const double merge = elapsed(2, merge_query(1, 2, 30'000, 5));
+  EXPECT_EQ(single, 0x1.20a6117b9fd6ep-8) << std::hexfloat << single;
+  EXPECT_EQ(dbl, 0x1.fd3b0faabf36fp-9) << std::hexfloat << dbl;
+  EXPECT_EQ(merge, 0x1.06e0ca0237ba5p-6) << std::hexfloat << merge;
+}
+
 TEST(Inbound, Query1SingleBackendNodeUsed) {
   Scsq scsq;
   auto r = scsq.run(inbound_query(1, 4));

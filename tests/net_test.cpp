@@ -146,7 +146,7 @@ TEST(TorusNetwork, SingleHopTransferTiming) {
   TorusNetwork net(sim, Torus3D(4, 4, 4), p);
   double done = -1.0;
   sim.spawn([](sim::Simulator& s, TorusNetwork& n, double& out) -> sim::Task<void> {
-    co_await n.transmit(1, 0, 1024, /*tag=*/7);
+    co_await n.transmit(1, 0, 1024);
     out = s.now();
   }(sim, net, done));
   sim.run();
@@ -161,10 +161,10 @@ TEST(TorusNetwork, TwoHopRouteIsSlowerThanOneHop) {
   TorusNetwork net(sim, Torus3D(4, 4, 4), test_params());
   double t_one = -1, t_two = -1;
   sim.spawn([](sim::Simulator& s, TorusNetwork& n, double& a, double& b) -> sim::Task<void> {
-    co_await n.transmit(1, 0, 4096, 1);
+    co_await n.transmit(1, 0, 4096);
     a = s.now();
     double start = s.now();
-    co_await n.transmit(2, 0, 4096, 2);
+    co_await n.transmit(2, 0, 4096);
     b = s.now() - start;
   }(sim, net, t_one, t_two));
   sim.run();
@@ -178,10 +178,10 @@ TEST(TorusNetwork, RendezvousAppliesAboveEagerLimit) {
   TorusNetwork net(sim, Torus3D(4, 4, 4), p);
   double t_small = -1, t_big = -1;
   sim.spawn([](sim::Simulator& s, TorusNetwork& n, double& a, double& b) -> sim::Task<void> {
-    co_await n.transmit(1, 0, 1024, 1);
+    co_await n.transmit(1, 0, 1024);
     a = s.now();
     double start = s.now();
-    co_await n.transmit(1, 0, 2048, 1);
+    co_await n.transmit(1, 0, 2048);
     b = s.now() - start;
   }(sim, net, t_small, t_big));
   sim.run();
@@ -207,13 +207,13 @@ TEST(TorusNetwork, SwitchCostScalesWithRegisteredStreams) {
     // One registered inbound stream: no switching cost.
     n.register_inbound_stream(0);
     double start = s.now();
-    for (int i = 0; i < 4; ++i) co_await n.transmit(1, 0, 1024, 1);
+    for (int i = 0; i < 4; ++i) co_await n.transmit(1, 0, 1024);
     single = s.now() - start;
     // Two registered streams: each message pays half the penalty
     // (expected switches under interleaving).
     n.register_inbound_stream(0);
     start = s.now();
-    for (int i = 0; i < 4; ++i) co_await n.transmit(1, 0, 1024, i % 2 == 0 ? 1 : 2);
+    for (int i = 0; i < 4; ++i) co_await n.transmit(1, 0, 1024);
     merged = s.now() - start;
     n.unregister_inbound_stream(0);
     n.unregister_inbound_stream(0);
@@ -223,22 +223,53 @@ TEST(TorusNetwork, SwitchCostScalesWithRegisteredStreams) {
   EXPECT_EQ(net.inbound_streams(0), 0);
 }
 
-TEST(TorusNetwork, AsyncTransmitSignalsSenderFreeBeforeDelivery) {
+TEST(TorusNetwork, SendReleasesSendSlotBeforeDelivery) {
   sim::Simulator sim;
   TorusNetwork net(sim, Torus3D(4, 4, 4), test_params());
+  const TorusPath path = net.compile_path(2, 0);
+  ASSERT_EQ(path.hops.size(), 2u);
+  sim::Resource slots(sim, 1, "sendbuf");
   double t_free = -1, t_delivered = -1;
-  sim.spawn([](sim::Simulator& s, TorusNetwork& n, double& tf,
+  sim.spawn([](sim::Simulator& s, TorusNetwork& n, const TorusPath& p, sim::Resource& buf,
                double& td) -> sim::Task<void> {
-    sim::Event sender_free(s), delivered(s);
-    n.transmit_async(2, 0, 4096, 1, &sender_free, &delivered);
-    co_await sender_free.wait();
-    tf = s.now();
-    co_await delivered.wait();
+    co_await buf.acquire();  // the send buffer the message occupies
+    co_await n.send(p, 4096, &buf);
     td = s.now();
-  }(sim, net, t_free, t_delivered));
+  }(sim, net, path, slots, t_delivered));
+  sim.spawn([](sim::Simulator& s, sim::Resource& buf, double& tf) -> sim::Task<void> {
+    co_await buf.acquire();  // granted by the message's release
+    tf = s.now();
+    buf.release();
+  }(sim, slots, t_free));
   sim.run();
   EXPECT_GT(t_free, 0.0);
   EXPECT_GT(t_delivered, t_free);  // 2-hop route: delivery strictly later
+  EXPECT_EQ(slots.in_use(), 0);
+}
+
+TEST(TorusNetwork, OneHopMessageIsFourKernelEvents) {
+  // An idle 1-hop message as a root process: its start, then the three
+  // holds (sender co-processor, link, receiver co-processor). Releasing
+  // a send slot nobody waits for schedules nothing; a spawn or a wake-up
+  // per message would add events here.
+  sim::Simulator sim;
+  TorusNetwork net(sim, Torus3D(4, 4, 4), test_params());
+  const TorusPath path = net.compile_path(1, 0);
+  ASSERT_EQ(path.hops.size(), 1u);
+  sim::Resource slots(sim, 1, "sendbuf");
+  sim.spawn([](sim::Resource& buf) -> sim::Task<void> {
+    co_await buf.acquire();
+  }(slots));
+  sim.run();
+  const sim::PerfCounters before = sim.perf();
+  sim.spawn(net.send(path, 1024, &slots));
+  sim.run();
+  EXPECT_EQ(sim.perf().events_dispatched - before.events_dispatched, 4u);
+  EXPECT_EQ(sim.perf().fifo_pushes - before.fifo_pushes, 1u);
+  EXPECT_EQ(sim.perf().heap_pushes - before.heap_pushes, 3u);
+  EXPECT_EQ(sim.perf().wakeups - before.wakeups, 0u);
+  EXPECT_EQ(slots.in_use(), 0);
+  EXPECT_EQ(sim.live_root_tasks(), 0u);
 }
 
 TEST(TorusNetwork, SharedLinkHalvesThroughput) {
@@ -249,11 +280,11 @@ TEST(TorusNetwork, SharedLinkHalvesThroughput) {
     sim::Simulator sim;
     auto p = test_params();
     TorusNetwork net(sim, Torus3D(4, 4, 4), p);
-    auto stream = [](TorusNetwork& n, int src, std::uint64_t tag) -> sim::Task<void> {
-      for (int i = 0; i < 50; ++i) co_await n.transmit(src, 0, 64 * 1024, tag);
+    auto stream = [](TorusNetwork& n, int src) -> sim::Task<void> {
+      for (int i = 0; i < 50; ++i) co_await n.transmit(src, 0, 64 * 1024);
     };
-    sim.spawn(stream(net, 1, 1));
-    sim.spawn(stream(net, src_b, 2));
+    sim.spawn(stream(net, 1));
+    sim.spawn(stream(net, src_b));
     return sim.run();
   };
   double t_sequential = run_pair(2);

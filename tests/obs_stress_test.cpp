@@ -183,14 +183,16 @@ TEST_F(ObsStressTest, SweepRecordsEachPointsLastRunWithItsMonitor) {
     EXPECT_GE(point, last_point) << "line " << i << " out of point order";
     last_point = point;
     ++kinds.at(static_cast<std::size_t>(point))[kind(lines[i])];
+    // Both lines describe the kept run, and record numbers round-trip.
+    const double run_s = elapsed[static_cast<std::size_t>(point)];
     if (kind(lines[i]) == "metrics") {
       EXPECT_EQ(lines[i].find("variant")->as_number(), 1.0);
       EXPECT_EQ(lines[i].find("query")->as_string(), query);
+      EXPECT_EQ(
+          lines[i].find("metrics")->find("gauges")->find("engine.elapsed_s")->as_number(),
+          run_s);
     } else if (kind(lines[i]) == "profile") {
-      // The profile is of the kept run (printed to 6 digits).
-      const double run_s = elapsed[static_cast<std::size_t>(point)];
-      EXPECT_NEAR(lines[i].find("profile")->find("elapsed_s")->as_number(), run_s,
-                  run_s * 1e-5);
+      EXPECT_EQ(lines[i].find("profile")->find("elapsed_s")->as_number(), run_s);
     }
   }
   for (std::size_t i = 0; i < buffers.size(); ++i) {

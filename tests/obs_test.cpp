@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "core/scsq.hpp"
@@ -239,6 +240,21 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse("\"unterminated"), ParseError);
   EXPECT_THROW(parse("\"raw\ncontrol\""), ParseError);
   EXPECT_THROW(parse("01"), ParseError);
+}
+
+TEST(Json, WriteNumberRoundTripsAtAnyStreamPrecision) {
+  for (const double v : {0.0042463643814755437, 0.1, 1.0 / 3.0, 1e-300, -2.5e300,
+                         1.7976931348623157e308, 4.9e-324, 3.0}) {
+    std::ostringstream os;
+    os.precision(3);
+    util::json::write_number(os, v);
+    EXPECT_EQ(util::json::parse(os.str()).as_number(), v) << os.str();
+  }
+  std::ostringstream os;
+  util::json::write_number(os, 3.0);
+  os << ',';
+  util::json::write_number(os, -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(os.str(), "3,\"-inf\"");
 }
 
 TEST(Json, NumericLeavesFlattensPaths) {

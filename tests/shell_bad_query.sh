@@ -1,8 +1,10 @@
 #!/bin/sh
-# A query that applies odd/even/fft to a stream of anything but real
-# arrays must end scsql_shell with "scsql error: ..." on stderr and exit
-# status 1, never an abort, both with every pull one item deep
-# (SCSQ_BATCH_SIZE=1) and at the default depth.
+# A query the engine cannot evaluate must end scsql_shell with
+# "scsql error: ..." on stderr and exit status 1, never an abort or a
+# signal: odd/even/fft over a stream of anything but real arrays (with
+# every pull one item deep, SCSQ_BATCH_SIZE=1, and at the default
+# depth), an operator on a non-number, an integer result past int64 and
+# an integer literal past int64.
 #
 # Usage: tests/shell_bad_query.sh <scsql_shell-binary>
 set -u
@@ -20,4 +22,10 @@ for fn in odd even fft; do
   check SCSQ_BATCH_SIZE=1 "select $fn(gen_array(3,4));"
   check SCSQ_BENCH_QUICK=1 "select $fn(gen_array(3,4));"
 done
+check "" "select 'a' + 1;"
+check "" "select 2 < 'fe';"
+check "" "select -'a';"
+check "" "select (0-9223372036854775807-1) / -1;"
+check "" "select 9223372036854775807+1;"
+check "" "select 99999999999999999999999;"
 exit $status

@@ -394,7 +394,6 @@ TEST(FramePool, RecycledFrameDoesNotLeakState) {
   Frame* f = pool.acquire();
   f->bytes = 999;
   f->eos = true;
-  f->producer = 5;
   f->seq = 42;
   f->objects.emplace_back(std::int64_t{7});
   f->objects.emplace_back(std::string("stale payload"));
@@ -405,7 +404,6 @@ TEST(FramePool, RecycledFrameDoesNotLeakState) {
   EXPECT_EQ(g->bytes, 0u);
   EXPECT_TRUE(g->objects.empty());
   EXPECT_FALSE(g->eos);
-  EXPECT_EQ(g->producer, 0u);
   EXPECT_EQ(g->seq, 0u);
   EXPECT_EQ(g->pool, &pool);
   EXPECT_GE(g->objects.capacity(), 2u);  // capacity survives the recycle
@@ -489,8 +487,8 @@ struct Pipe {
     params.send_buffers = send_buffers;
     params.frame_pool = &machine.frame_pool();
     rx = std::make_unique<ReceiverDriver>(sim, params, machine.cpu_of(dst));
-    auto link = make_link(machine, src, dst, rx->inbox(), /*source_tag=*/1);
-    tx = std::make_unique<SenderDriver>(sim, params, machine.cpu_of(src), std::move(link), 1);
+    auto link = make_link(machine, src, dst, rx->inbox());
+    tx = std::make_unique<SenderDriver>(sim, params, machine.cpu_of(src), std::move(link));
   }
 };
 
@@ -624,8 +622,8 @@ TEST(Drivers, LingerDisabledHoldsPartialBuffer) {
   Pipe p({"bg", 1}, {"bg", 0}, 64 * 1024, 2);
   // Rebuild the sender with linger disabled.
   p.params.linger_s = 0.0;
-  auto link = make_link(p.machine, {"bg", 1}, {"bg", 0}, p.rx->inbox(), 2);
-  SenderDriver tx(p.sim, p.params, p.machine.cpu_of({"bg", 1}), std::move(link), 2);
+  auto link = make_link(p.machine, {"bg", 1}, {"bg", 0}, p.rx->inbox());
+  SenderDriver tx(p.sim, p.params, p.machine.cpu_of({"bg", 1}), std::move(link));
   bool got_any = false;
   p.sim.spawn([](SenderDriver& t) -> sim::Task<void> {
     co_await t.push(Object{7});

@@ -5,9 +5,10 @@
 #
 # Usage: tools/ci_smoke.sh [build-dir]     (default: build)
 # Env:   SCSQ_TSAN=1 adds -DSCSQ_TSAN=ON (ThreadSanitizer build).
-#        SCSQ_ASAN=1 adds -DSCSQ_ASAN=ON (AddressSanitizer build; the
-#        pooled frame/marshal data plane recycles buffers aggressively,
-#        so transport tests under ASAN guard against use-after-recycle).
+#        SCSQ_ASAN=1 adds -DSCSQ_ASAN=ON (AddressSanitizer + UBSan build;
+#        the pooled frame/marshal data plane recycles buffers
+#        aggressively, so transport tests under ASAN guard against
+#        use-after-recycle).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -174,17 +175,19 @@ else
   echo "== skipping TSAN pass (toolchain lacks ThreadSanitizer) =="
 fi
 
-# ASAN pass over the transport tests: the pooled frame/marshal data
-# plane recycles buffers aggressively, so guard against use-after-
-# recycle and buffer overruns. Skipped when the toolchain cannot link
-# a trivial -fsanitize=address program (e.g. libasan not installed).
-if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/null; then
-  echo "== transport_test + batch pipeline under AddressSanitizer =="
+# ASAN + UBSan pass over the transport tests: the pooled frame/marshal
+# data plane recycles buffers aggressively, so guard against use-after-
+# recycle and buffer overruns; UBSan stops at the first undefined
+# operation (signed overflow, a bad shift or cast). Skipped when the
+# toolchain cannot link a trivial program with both sanitizers (e.g.
+# libasan or libubsan not installed).
+if echo 'int main(){}' | c++ -x c++ -fsanitize=address,undefined -o /dev/null - 2> /dev/null; then
+  echo "== transport_test + batch pipeline under AddressSanitizer + UBSan =="
   cmake -B "$BUILD-asan" -S . -DSCSQ_ASAN=ON > /dev/null
   cmake --build "$BUILD-asan" -j"$(nproc)" \
     --target transport_test monitor_test bench_kernels \
     sim_queue_fuzz_test properties_test sim_test net_test bench_fig6_p2p \
-    bench_fig8_merge bench_fig15_inbound features_test > /dev/null
+    bench_fig8_merge bench_fig15_inbound features_test scsql_shell > /dev/null
   "$BUILD-asan/tests/transport_test"
   # Channel waits and Resource::use() park the awaiter itself (no
   # coroutine frame), and torus messages run on compiled paths that the
@@ -211,6 +214,9 @@ if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/nu
   # reuse must be clean (no use-after-recycle, no leaked chunks at exit).
   "$BUILD-asan/tests/sim_queue_fuzz_test"
   "$BUILD-asan/tests/properties_test" --gtest_filter='CoroPool.*'
+  # Operators on non-numbers, int64 overflow and out-of-range literals
+  # are scsql errors, and the checked arithmetic itself is UB-free.
+  sh tests/shell_bad_query.sh "$BUILD-asan/tools/scsql_shell"
   # Monitor plans are driven by manual coroutine resumption (release/
   # resume/destroy); run the monitor suite under ASAN to catch frame
   # lifetime mistakes.
@@ -220,7 +226,7 @@ if echo 'int main(){}' | c++ -x c++ -fsanitize=address -o /dev/null - 2> /dev/nu
   "$BUILD-asan/bench/bench_kernels" \
     --benchmark_filter='BM_OperatorPipeline' --benchmark_min_time=0.01 > /dev/null
 else
-  echo "== skipping ASAN pass (toolchain lacks AddressSanitizer) =="
+  echo "== skipping ASAN + UBSan pass (toolchain lacks AddressSanitizer or UBSan) =="
 fi
 
 # Bench baseline self-check: committed "new" numbers must not regress
