@@ -7,7 +7,6 @@
 
 #include "funcs/fft.hpp"
 #include "net/topology.hpp"
-#include "plan/operators.hpp"
 #include "sim/channel.hpp"
 #include "sim/resource.hpp"
 #include "sim/simulator.hpp"
@@ -368,89 +367,6 @@ BENCHMARK_CAPTURE(BM_EventQueue, uniform, 0);
 BENCHMARK_CAPTURE(BM_EventQueue, spike, 1);
 BENCHMARK_CAPTURE(BM_EventQueue, bimodal, 2);
 BENCHMARK_CAPTURE(BM_EventQueue, cancel_heavy, 3);
-
-// ---------------------------------------------------------------------
-// Batch-at-a-time SQEP execution. These measure the host-side cost per
-// simulated stream item through real operator pipelines — the per-item
-// coroutine tower (depth 1, the pre-batching seed path) against the
-// batched path (depth 256). Simulated results and timestamps are
-// identical in both modes; only items/s (host wall clock) changes.
-// ---------------------------------------------------------------------
-
-constexpr int kPipeFrames = 40;
-constexpr int kPipeObjectsPerFrame = 256;
-
-scsq::sim::Task<void> feed_frames(scsq::sim::Channel<scsq::transport::Frame*>& inbox,
-                                  scsq::transport::FramePool& pool, int frames,
-                                  int objects_per_frame) {
-  for (int f = 0; f < frames; ++f) {
-    scsq::transport::Frame* fr = pool.acquire();
-    fr->objects.reserve(static_cast<std::size_t>(objects_per_frame));
-    for (int i = 0; i < objects_per_frame; ++i) {
-      fr->objects.emplace_back(static_cast<std::int64_t>(i));
-    }
-    fr->bytes = static_cast<std::uint64_t>(objects_per_frame) * 9;
-    fr->eos = f + 1 == frames;
-    co_await inbox.send(fr);
-  }
-}
-
-/// depth <= 1 drives the exact per-item path (next()); larger depths
-/// drive next_batch the way the engine's batched loop does.
-scsq::sim::Task<void> drive_operator(scsq::plan::Operator& op, std::size_t depth,
-                                     std::uint64_t& items) {
-  if (depth <= 1) {
-    while (co_await op.next()) ++items;
-    co_return;
-  }
-  scsq::plan::ItemBatch batch;
-  bool eos = false;
-  while (!eos) {
-    batch.reset();
-    co_await op.next_batch(batch, depth);
-    items += batch.size();
-    eos = batch.eos();
-  }
-}
-
-void BM_OperatorPipeline(benchmark::State& state, const char* mode) {
-  const auto depth = static_cast<std::size_t>(state.range(0));
-  const std::string which = mode;
-  std::int64_t items_per_iter = 0;
-  for (auto _ : state) {
-    scsq::sim::Simulator sim;
-    scsq::sim::Resource cpu(sim, 1, "cpu");
-    scsq::transport::FramePool pool;
-    scsq::plan::PlanContext ctx;
-    ctx.sim = &sim;
-    ctx.cpu = &cpu;
-    std::uint64_t items = 0;
-    if (which == "passthrough") {
-      // streamof over a receive: the minimal stateless chain, fed with
-      // frames of small objects (the shape where per-item coroutine
-      // towers dominated).
-      scsq::transport::ReceiverDriver driver(sim, scsq::transport::DriverParams{}, cpu);
-      sim.spawn(feed_frames(driver.inbox(), pool, kPipeFrames, kPipeObjectsPerFrame));
-      scsq::plan::PassOp root(std::make_unique<scsq::plan::ReceiveOp>(driver));
-      sim.spawn(drive_operator(root, depth, items));
-      sim.run();
-      items_per_iter = kPipeFrames * kPipeObjectsPerFrame;
-    } else {  // merge
-      scsq::transport::ReceiverDriver d1(sim, scsq::transport::DriverParams{}, cpu);
-      scsq::transport::ReceiverDriver d2(sim, scsq::transport::DriverParams{}, cpu);
-      sim.spawn(feed_frames(d1.inbox(), pool, kPipeFrames, kPipeObjectsPerFrame));
-      sim.spawn(feed_frames(d2.inbox(), pool, kPipeFrames, kPipeObjectsPerFrame));
-      scsq::plan::MergeOp root(ctx, {&d1, &d2});
-      sim.spawn(drive_operator(root, depth, items));
-      sim.run();
-      items_per_iter = 2 * kPipeFrames * kPipeObjectsPerFrame;
-    }
-    benchmark::DoNotOptimize(items);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * items_per_iter);
-}
-BENCHMARK_CAPTURE(BM_OperatorPipeline, passthrough, "passthrough")->Arg(1)->Arg(256);
-BENCHMARK_CAPTURE(BM_OperatorPipeline, merge, "merge")->Arg(1)->Arg(256);
 
 void BM_ChannelPingPong(benchmark::State& state) {
   for (auto _ : state) {

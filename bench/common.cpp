@@ -19,9 +19,8 @@ std::ofstream g_record;  // open when SCSQ_RECORD is set
 // record. Each worker writes only the slot of the point it runs;
 // sweep_points reads them after the join.
 struct PointSlot {
-  // The kernel counters of its runs, and the batch depth they ran at.
+  // The kernel counters of its runs.
   std::uint64_t events = 0, wakeups = 0, cancelled = 0, peak_queue_depth = 0;
-  std::size_t batch_size = 0;
   std::string registry;    // the kept run's registry snapshot
   std::string lines;       // record lines: the kept run's, or an error line
   std::string trace_json;  // the first point's kept run, with SCSQ_TRACE
@@ -68,7 +67,6 @@ void configure_from_env() {
 ScsqConfig run_config(const hw::CostModel& cost) {
   ScsqConfig cfg;
   cfg.cost = cost;
-  cfg.exec.batch_size = g_settings.config.exec.batch_size;
   cfg.exec.sample_interval_s = g_settings.config.exec.sample_interval_s;
   return cfg;
 }
@@ -107,7 +105,6 @@ void harness_count(Scsq& scsq) {
   t_point->wakeups += perf.wakeups;
   t_point->cancelled += perf.cancel_consumed;
   t_point->peak_queue_depth = std::max(t_point->peak_queue_depth, perf.peak_queue_depth);
-  t_point->batch_size = scsq.engine().options().batch_size;
 }
 
 // Runs `query` on a fresh Scsq built from `cfg`. With `keep` (only when
@@ -202,7 +199,6 @@ void detail::sweep_points(std::size_t points, const std::function<void(std::size
     sum.wakeups += slot.wakeups;
     sum.cancelled += slot.cancelled;
     sum.peak_queue_depth = std::max(sum.peak_queue_depth, slot.peak_queue_depth);
-    sum.batch_size = std::max(sum.batch_size, slot.batch_size);
   }
   const double events_per_s = wall_s > 0.0 ? static_cast<double>(sum.events) / wall_s : 0.0;
   if (g_record.is_open()) {
@@ -214,8 +210,7 @@ void detail::sweep_points(std::size_t points, const std::function<void(std::size
                      {"events_per_s", events_per_s},
                      {"peak_queue_depth", static_cast<double>(sum.peak_queue_depth)},
                      {"wakeups", static_cast<double>(sum.wakeups)},
-                     {"cancelled_timers", static_cast<double>(sum.cancelled)},
-                     {"batch_size", static_cast<double>(sum.batch_size)}})
+                     {"cancelled_timers", static_cast<double>(sum.cancelled)}})
              << std::flush;
   }
   std::fprintf(stderr,

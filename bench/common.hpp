@@ -23,8 +23,8 @@
 //
 // Settings: every bench calls configure_from_env() first, which
 // resolves the SCSQ_* variables once (exec/config.hpp). The benches
-// honor SCSQ_BENCH_QUICK, SCSQ_BENCH_THREADS, SCSQ_BATCH_SIZE,
-// SCSQ_SAMPLE_INTERVAL, SCSQ_MONITOR, SCSQ_TRACE and SCSQ_RECORD; buffer
+// honor SCSQ_BENCH_QUICK, SCSQ_BENCH_THREADS, SCSQ_SAMPLE_INTERVAL,
+// SCSQ_MONITOR, SCSQ_TRACE and SCSQ_RECORD; buffer
 // sizes, send buffers and node selection are sweep axes, never read
 // from the environment. Every engine a bench runs is built from
 // run_config and run by run_points or run_query, so each of those
@@ -65,8 +65,7 @@ void configure(exec::Settings s);
 void configure_from_env();
 
 /// The engine configuration of one bench run: `cost`, plus the resolved
-/// SCSQ_BATCH_SIZE and SCSQ_SAMPLE_INTERVAL. Every engine a bench builds
-/// starts from this.
+/// SCSQ_SAMPLE_INTERVAL. Every engine a bench builds starts from this.
 ScsqConfig run_config(const hw::CostModel& cost);
 
 /// Number of arrays per producer such that one producer's stream is at

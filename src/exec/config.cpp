@@ -42,8 +42,6 @@ Settings from_env(const EnvLookup& lookup) {
 
   Settings s;
   ExecOptions& exec = s.config.exec;
-  exec.batch_size = get_uint("SCSQ_BATCH_SIZE", exec.batch_size, 1,
-                             std::numeric_limits<std::size_t>::max());
   if (const char* v = get("SCSQ_SAMPLE_INTERVAL")) {
     const auto interval = parse_interval(v);
     if (!interval) {

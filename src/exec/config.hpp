@@ -8,7 +8,6 @@
 // means unset. The library never reads the environment: a program that
 // embeds it passes ExecOptions.
 //
-//   SCSQ_BATCH_SIZE       operator batch depth, >= 1 (default 256)
 //   SCSQ_SAMPLE_INTERVAL  sampler window in simulated seconds, a finite
 //                         decimal >= 1e-6 (default: no sampling)
 //   SCSQ_MONITOR          introspection monitor query (DESIGN.md §5.8)
@@ -34,8 +33,8 @@
 namespace scsq::exec {
 
 struct Settings {
-  /// The engine's part: batch_size and sample_interval_s, and for the
-  /// shell buffer_bytes, send_buffers, max_results and node_selection.
+  /// The engine's part: sample_interval_s, and for the shell
+  /// buffer_bytes, send_buffers, max_results and node_selection.
   ScsqConfig config;
   std::string monitor;      ///< SCSQ_MONITOR, "" = none
   bool quick = false;       ///< SCSQ_BENCH_QUICK

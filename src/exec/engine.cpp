@@ -21,8 +21,8 @@ using scsql::ExprPtr;
 namespace {
 
 /// Rejects settings the engine cannot run with (a zero-byte buffer, no
-/// send buffer, no receive slot, an empty batch) before any query is
-/// wired, instead of letting a driver abort mid-simulation.
+/// send buffer, no receive slot) before any query is wired, instead of
+/// letting a driver abort mid-simulation.
 void validate_options(const ExecOptions& options) {
   if (options.buffer_bytes < 1) {
     throw Error("ExecOptions::buffer_bytes must be >= 1, got " +
@@ -36,7 +36,6 @@ void validate_options(const ExecOptions& options) {
     throw Error("ExecOptions::recv_buffers must be >= 1, got " +
                 std::to_string(options.recv_buffers));
   }
-  if (options.batch_size < 1) throw Error("ExecOptions::batch_size must be >= 1, got 0");
 }
 
 }  // namespace
@@ -216,10 +215,7 @@ RunReport Engine::run_statement(const scsql::Statement& statement) {
       s.recv_wait_s += rx->wait_seconds();
       s.demarshal_s += rx->demarshal_seconds();
     }
-    if (rp->root) {
-      s.batches = rp->root->batch_counters().batches;
-      s.batch_items = rp->root->batch_counters().items;
-    }
+    s.pulls = rp->pulls;
     publish_rp_metrics(s);
     report.rps.push_back(std::move(s));
   }
@@ -243,11 +239,11 @@ void Engine::publish_rp_metrics(const RpStat& s) {
   registry.gauge("engine.rp.recv_wait_s", labels).set(s.recv_wait_s);
   registry.gauge("engine.rp.marshal_s", labels).set(s.marshal_s);
   registry.gauge("engine.rp.demarshal_s", labels).set(s.demarshal_s);
-  registry.gauge("engine.rp.batches", labels).set(static_cast<double>(s.batches));
-  registry.gauge("engine.rp.batch_fill", labels)
-      .set(s.batches == 0 ? 0.0
-                          : static_cast<double>(s.batch_items) /
-                                static_cast<double>(s.batches));
+  // perfbench builds plan.batch_fill from these two gauges, so they stay
+  // until the benchmark's next change (ROADMAP item 4). Each pull
+  // delivers one object: the fill is 1 wherever the root delivered.
+  registry.gauge("engine.rp.batches", labels).set(static_cast<double>(s.pulls));
+  registry.gauge("engine.rp.batch_fill", labels).set(s.pulls == 0 ? 0.0 : 1.0);
 }
 
 obs::Profile Engine::profile(const RunReport& report) const {
@@ -264,10 +260,6 @@ obs::Profile Engine::profile(const RunReport& report) const {
     n.is_client = rp->is_client;
     n.elements_out = rp->elements_out;
     n.drive_s = rp->drive_s;
-    if (rp->root) {
-      n.batches = rp->root->batch_counters().batches;
-      n.batch_items = rp->root->batch_counters().items;
-    }
     for (const auto& rx : rp->receivers) {
       n.bytes_received += rx->bytes_received();
       n.recv_wait_s += rx->wait_seconds();
@@ -388,8 +380,8 @@ void Engine::run_monitor(Monitor& monitor, const plan::IntrospectFeed& feed,
   // Zero-perturbation contract: all NodeParams costs are zero, the CPU
   // resource is private and uncontended, and the plan is pulled one item
   // at a time. Every awaitable the operator machinery reaches then
-  // completes inline — Resource::acquire with a free slot,
-  // delay_until(now) — so the plan is drained synchronously below by
+  // completes inline — Resource::acquire with a free slot, a zero-length
+  // Resource::use — so the plan is drained synchronously below by
   // resuming each next() once and never schedules a simulator event. The
   // measured workload's event order, tables and elapsed_s are
   // byte-identical with monitors on or off.
@@ -860,63 +852,39 @@ sim::Task<void> Engine::run_rp(Rp& rp) {
   if (trace) trace->instant(track, "start", rpsim.now());
   try {
     if (rp.root != nullptr) {
-      // Drive depth: the client manager and subscriber-less sinks pull
-      // whole batches; producer RPs stay at depth 1 so every element is
-      // pushed to the senders at exactly the per-item moment (frame-cut
-      // and linger timing depend on push times). The per-item timeline
-      // is preserved at any depth — batching only changes how much
-      // host-side work happens per simulated suspension.
-      const std::size_t base_depth =
-          (rp.is_client || rp.senders.empty()) ? options_.batch_size : 1;
-      plan::ItemBatch batch;
-      bool eos = false;
-      while (!stop_requested_ && !eos) {
-        std::size_t depth = base_depth;
-        if (rp.is_client && options_.max_results > 0) {
-          SCSQ_CHECK(results_sink_ != nullptr) << "no active result sink";
-          // Never pull past the stop condition: the collected count and
-          // the stop moment stay identical to the per-item loop.
-          const std::size_t remaining = options_.max_results - results_sink_->size();
-          depth = std::min(depth, std::max<std::size_t>(remaining, 1));
-        }
-        batch.reset();
+      while (!stop_requested_) {
         const double drive_start = rpsim.now();
-        co_await rp.root->next_batch(batch, depth);
+        auto obj = co_await rp.root->next();
         rp.drive_s += rpsim.now() - drive_start;
-        eos = batch.eos();
-        bool stopped_here = false;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          // The per-item loop re-checked the stop flag between items.
-          if (stop_requested_ && !rp.is_client) break;
-          rp.elements_out += 1;
-          // Sampled, not per-element: an unthrottled counter track would
-          // dominate the trace for multi-thousand-element streams.
-          if (trace && (rp.elements_out & 0x3F) == 0) {
-            trace->counter(track, "elements_out", rpsim.now(),
-                           static_cast<double>(rp.elements_out));
-          }
-          if (rp.is_client) {
-            SCSQ_CHECK(results_sink_ != nullptr) << "no active result sink";
-            results_sink_->push_back(std::move(batch[i]));
-            // Stop condition: enough results collected.
-            if (options_.max_results > 0 &&
-                results_sink_->size() >= options_.max_results) {
-              initiate_stop();
-              stopped_here = true;
-              break;
-            }
-            continue;
-          }
-          if (rp.senders.empty()) continue;  // no subscribers: discard
-          if (rp.senders.size() == 1) {
-            co_await rp.senders[0]->push(std::move(batch[i]));
-          } else {
-            // Stream splitting: every subscriber receives the full
-            // stream (the radix2 query extracts c from both halves).
-            for (auto& s : rp.senders) co_await s->push(batch[i]);
-          }
+        if (!obj) break;
+        ++rp.pulls;
+        // An object pulled after the stop goes nowhere; the client still
+        // keeps what it pulled.
+        if (stop_requested_ && !rp.is_client) break;
+        rp.elements_out += 1;
+        // Sampled, not per-element: an unthrottled counter track would
+        // dominate the trace for multi-thousand-element streams.
+        if (trace && (rp.elements_out & 0x3F) == 0) {
+          trace->counter(track, "elements_out", rpsim.now(),
+                         static_cast<double>(rp.elements_out));
         }
-        if (stopped_here) break;
+        if (rp.is_client) {
+          SCSQ_CHECK(results_sink_ != nullptr) << "no active result sink";
+          results_sink_->push_back(std::move(*obj));
+          // Stop condition: enough results collected.
+          if (options_.max_results > 0 && results_sink_->size() >= options_.max_results) {
+            initiate_stop();
+          }
+          continue;
+        }
+        if (rp.senders.empty()) continue;  // no subscribers: discard
+        if (rp.senders.size() == 1) {
+          co_await rp.senders[0]->push(std::move(*obj));
+        } else {
+          // Stream splitting: every subscriber receives the full
+          // stream (the radix2 query extracts c from both halves).
+          for (auto& s : rp.senders) co_await s->push(*obj);
+        }
       }
     }
     for (auto& s : rp.senders) co_await s->finish();

@@ -69,10 +69,6 @@ struct ExecOptions {
   /// still-running query is stopped (its RPs are terminated and the
   /// partial results returned with RunReport::stopped set). 0 disables.
   double max_sim_time_s = 1e6;
-  /// Batch depth for batch-at-a-time SQEP execution, at least 1;
-  /// 1 = exact per-item execution. Simulated timing is bitwise-identical
-  /// at every depth — only the host-side work per simulated item changes.
-  std::size_t batch_size = 256;
   /// Telemetry sampling window in simulated seconds (obs/sampler.hpp):
   /// 0 = off, else a finite value of at least kMinSampleInterval.
   /// Sampling is observational by construction: every figure table is
@@ -103,9 +99,7 @@ struct RpStat {
   double recv_wait_s = 0.0;  // blocked on empty inboxes
   double marshal_s = 0.0;    // send-side marshal CPU
   double demarshal_s = 0.0;  // receive-side de-marshal + alloc CPU
-  std::uint64_t batches = 0;      // non-empty batches the SQEP root delivered
-  std::uint64_t batch_items = 0;  // items across those batches (mean fill
-                                  // = batch_items / batches)
+  std::uint64_t pulls = 0;  // root pulls that delivered an object
 };
 
 struct RunReport {
@@ -219,7 +213,8 @@ class Engine {
     std::vector<std::unique_ptr<transport::SenderDriver>> senders;
     std::vector<std::uint64_t> consumer_ids;  // parallel to senders
     std::uint64_t elements_out = 0;
-    double drive_s = 0.0;  // simulated time spent inside root->next()
+    std::uint64_t pulls = 0;  // root pulls that delivered an object
+    double drive_s = 0.0;     // simulated time spent inside root->next()
     std::unique_ptr<sim::Event> done;
   };
 

@@ -47,8 +47,8 @@ std::ofstream open_record(const Settings& settings) {
   }
   const ExecOptions& exec = settings.config.exec;
   os.precision(17);
-  os << "{\"kind\":\"header\",\"settings\":{\"batch_size\":" << exec.batch_size
-     << ",\"sample_interval_s\":" << exec.sample_interval_s << ",\"monitor\":";
+  os << "{\"kind\":\"header\",\"settings\":{\"sample_interval_s\":" << exec.sample_interval_s
+     << ",\"monitor\":";
   util::json::write_string(os, settings.monitor);
   os << ",\"buffer_bytes\":" << exec.buffer_bytes << ",\"send_buffers\":" << exec.send_buffers
      << ",\"max_results\":" << exec.max_results << ",\"smart_select\":"

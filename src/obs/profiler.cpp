@@ -249,15 +249,14 @@ void Profile::render_text(std::ostream& os) const {
     const ProfileNode& n = *it->second;
     std::snprintf(buf, sizeof(buf),
                   "%srp#%llu %s%s @ %s%s  out=%llu busy=%s marshal=%s demarshal=%s "
-                  "stall=%s wait=%s batches=%llu fill=%.1f\n",
+                  "stall=%s wait=%s\n",
                   indent.c_str(), static_cast<unsigned long long>(n.rp),
                   n.op.empty() ? "" : n.op.c_str(), n.op.empty() ? "" : "",
                   n.loc.c_str(), on_path.contains(n.rp) ? " [critical]" : "",
                   static_cast<unsigned long long>(n.elements_out),
                   fmt_time(n.busy_s()).c_str(), fmt_time(n.marshal_s).c_str(),
                   fmt_time(n.demarshal_s).c_str(), fmt_time(n.send_stall_s).c_str(),
-                  fmt_time(n.recv_wait_s).c_str(),
-                  static_cast<unsigned long long>(n.batches), n.mean_batch_fill());
+                  fmt_time(n.recv_wait_s).c_str());
     os << buf;
     std::snprintf(buf, sizeof(buf), "%s  query: %s\n", indent.c_str(), n.query.c_str());
     os << buf;
@@ -352,9 +351,6 @@ void Profile::write_json(std::ostream& os) const {
     write_number(os, n.marshal_s);
     os << ",\"send_stall_s\":";
     write_number(os, n.send_stall_s);
-    os << ",\"batches\":" << n.batches << ",\"batch_items\":" << n.batch_items
-       << ",\"mean_batch_fill\":";
-    write_number(os, n.mean_batch_fill());
     os << '}';
   }
   os << ']';

@@ -52,15 +52,6 @@ struct ProfileNode {
   double demarshal_s = 0.0;  // receive-side de-marshal + alloc CPU
   double marshal_s = 0.0;    // send-side marshal CPU
   double send_stall_s = 0.0; // waiting for a free send buffer
-  std::uint64_t batches = 0;      // non-empty batches the SQEP root delivered
-  std::uint64_t batch_items = 0;  // items across those batches
-
-  /// Items per delivered batch — 1.0 under per-item execution
-  /// (SCSQ_BATCH_SIZE=1), larger once batch pulls actually coalesce.
-  double mean_batch_fill() const {
-    return batches == 0 ? 0.0
-                        : static_cast<double>(batch_items) / static_cast<double>(batches);
-  }
 
   /// Pure SQEP compute: drive time with the in-drive waits removed.
   double busy_s() const;

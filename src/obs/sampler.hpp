@@ -17,7 +17,7 @@
 // does not advance now(), does not count as a dispatched event, and
 // cannot keep run() from returning. Net effect: every figure table and
 // every elapsed_s is byte-identical with the sampler on or off, at any
-// SCSQ_BATCH_SIZE / SCSQ_BENCH_THREADS setting. The only
+// SCSQ_BENCH_THREADS setting. The only
 // sampler-visible perturbations (extra heap pushes, peak queue depth,
 // the events/s stderr banner) are confined to side channels.
 //

@@ -154,7 +154,7 @@ OperatorPtr build_plan(const ExprPtr& expr, PlanContext& ctx) {
   }
   if (name == "sum") {
     if (expr->args.size() != 1) throw Error("sum() takes one argument", expr->pos);
-    return std::make_unique<SumOp>(ctx, build_plan(expr->args[0], ctx));
+    return std::make_unique<SumOp>(ctx, build_plan(expr->args[0], ctx), expr->pos);
   }
   if (name == "streamof") {
     if (expr->args.size() != 1) throw Error("streamof() takes one argument", expr->pos);
@@ -245,12 +245,12 @@ OperatorPtr build_plan(const ExprPtr& expr, PlanContext& ctx) {
               : name == "bagmax" ? BagAggOp::Fn::kMax
               : name == "bagmin" ? BagAggOp::Fn::kMin
                                  : BagAggOp::Fn::kCount;
-    return std::make_unique<BagAggOp>(ctx, fn, build_plan(expr->args[0], ctx));
+    return std::make_unique<BagAggOp>(ctx, fn, build_plan(expr->args[0], ctx), expr->pos);
   }
   if (name == "abs" || name == "sqrtv") {
     if (expr->args.size() != 1) throw Error(name + "() takes one argument", expr->pos);
     auto fn = name == "abs" ? ScalarMapOp::Fn::kAbs : ScalarMapOp::Fn::kSqrt;
-    return std::make_unique<ScalarMapOp>(ctx, fn, build_plan(expr->args[0], ctx));
+    return std::make_unique<ScalarMapOp>(ctx, fn, build_plan(expr->args[0], ctx), expr->pos);
   }
   if (name == "system.metrics" || name == "system.gauges" || name == "system.rates") {
     return build_introspect(*expr, ctx);
@@ -264,7 +264,7 @@ OperatorPtr build_plan(const ExprPtr& expr, PlanContext& ctx) {
       throw Error("above() threshold must be numeric", expr->pos);
     }
     return std::make_unique<AboveOp>(ctx, build_plan(expr->args[0], ctx),
-                                     threshold.as_number());
+                                     threshold.as_number(), expr->pos);
   }
   if (name == "receiver") {
     if (expr->args.size() != 1) throw Error("receiver() takes one argument", expr->pos);

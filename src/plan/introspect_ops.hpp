@@ -10,9 +10,10 @@
 // the zero-duration sampler tick, under a PlanContext whose NodeParams
 // are all zero and whose CPU resource is private and uncontended — every
 // awaitable in the operator machinery then completes inline
-// (Resource::acquire with a free slot, delay_until(now)), so a monitor
-// plan never schedules a simulator event and the measured workload's
-// timeline is byte-identical with monitors on or off (DESIGN.md §5.8).
+// (Resource::acquire with a free slot, a zero-length Resource::use), so
+// a monitor plan never schedules a simulator event and the measured
+// workload's timeline is byte-identical with monitors on or off
+// (DESIGN.md §5.8).
 //
 // Row shapes (catalog::Bag fields, in order):
 //   system.metrics([pattern])  {key, delta, rate, t_start, t_end}

@@ -1,14 +1,8 @@
-// Per-item CPU cost expressions of the SQEP operators, one definition
-// each.
-//
-// Batch execution must stay byte-identical to per-item execution at any
-// batch depth. A batched source charges n items with one
-// Resource::use_repeated(per, n) hold, which lands on the end time of n
-// per-item use(per) calls only if `per` is the exact floating-point
-// expression the per-item path charges. Keeping every per-item charge
-// here is the audit: operators.cpp contains no inline cost arithmetic,
-// so the regression test (batch_test.cpp) asserting equal accumulated
-// CPU seconds at every batch size pins both paths to one definition.
+// Per-item CPU cost expressions of the SQEP operators in operators.cpp,
+// one definition each: the simulated CPU time an operator charges for
+// one invocation, one generated or ingested array, one array transform
+// or one file scan. operators.cpp holds no inline cost arithmetic, so
+// the cost model of the core operators reads in one place.
 #pragma once
 
 #include <cmath>

@@ -11,9 +11,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "catalog/batch.hpp"
 #include "catalog/object.hpp"
 #include "hw/cost_model.hpp"
 #include "hw/location.hpp"
@@ -24,9 +24,6 @@
 #include "transport/driver.hpp"
 
 namespace scsq::plan {
-
-/// Batch of stream objects flowing between operators (see catalog/batch.hpp).
-using ItemBatch = catalog::ItemBatch;
 
 /// One telemetry window handed to an introspection (monitor) plan; see
 /// plan/introspect_ops.hpp. Null outside monitor contexts.
@@ -72,45 +69,23 @@ class Operator {
   /// Must not be called again after it returned nullopt.
   virtual sim::Task<std::optional<catalog::Object>> next() = 0;
 
-  /// Batch pull: appends up to `max` (>= 1) elements to `out` and marks
-  /// `out` EOS once the stream has ended (a batch may carry final items
-  /// and the EOS flag together). Must not be called again after an EOS
-  /// batch. The base implementation delivers exactly ONE item per call
-  /// via next() — deliberately, not a loop: pulling an arbitrary child
-  /// several times without returning control could reorder its CPU
-  /// charges against other processes contending for the same simulated
-  /// resources (a merge pump, a sender drain), and the batch contract
-  /// is that the simulated timeline is bit-identical at every depth.
-  /// Operators whose charge pattern provably commutes override this
-  /// with a real batched path.
-  virtual sim::Task<void> next_batch(ItemBatch& out, std::size_t max);
-
-  /// Items delivered / batches counted by next_batch (empty EOS-only
-  /// pulls are not counted, so items/batches is the mean batch fill).
-  struct BatchCounters {
-    std::uint64_t batches = 0;
-    std::uint64_t items = 0;
-    double mean_fill() const {
-      return batches == 0 ? 0.0 : static_cast<double>(items) / static_cast<double>(batches);
-    }
-  };
-  const BatchCounters& batch_counters() const { return batch_counters_; }
-
   /// Operator name for plan dumps ("count", "gen_array", ...).
   virtual std::string name() const = 0;
-
- protected:
-  /// Accounting hook for next_batch implementations; call once per
-  /// non-empty delivered batch.
-  void count_batch(std::size_t items) {
-    ++batch_counters_.batches;
-    batch_counters_.items += items;
-  }
-
- private:
-  BatchCounters batch_counters_;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;
+
+/// `obj` as a number, for the call `fn`() at `pos`, which `expects` some
+/// input ("a stream of numbers"). Any other kind is an scsql::Error
+/// naming the function, what it expects and the kind it got.
+inline double numeric_input(const catalog::Object& obj, std::string_view fn,
+                            const char* expects, scsql::SourcePos pos) {
+  if (obj.kind() == catalog::Kind::kInt || obj.kind() == catalog::Kind::kReal) {
+    return obj.as_number();
+  }
+  throw scsql::Error(std::string(fn) + "() expects " + expects + " (got " +
+                         catalog::kind_name(obj.kind()) + ")",
+                     pos);
+}
 
 }  // namespace scsq::plan

@@ -32,21 +32,6 @@ sim::Task<std::optional<Object>> BagStreamOp::next() {
   co_return std::optional<Object>(values_[index_++]);
 }
 
-sim::Task<void> BagStreamOp::next_batch(ItemBatch& out, std::size_t max) {
-  if (index_ >= values_.size()) {
-    out.mark_eos();
-    co_return;
-  }
-  const std::size_t n = std::min(max, values_.size() - index_);
-  // The per-item cost is the same constant for every element, so one
-  // aggregated hold folding it n times reproduces the per-item clock
-  // bitwise (use_repeated's left-to-right addition chain).
-  co_await ctx_->cpu->use_repeated(op_costs::invoke(ctx_->node), n);
-  for (std::size_t i = 0; i < n; ++i) out.push(Object{values_[index_++]});
-  if (index_ >= values_.size()) out.mark_eos();
-  count_batch(n);
-}
-
 // ---------------------------------------------------------------------
 // GenArrayOp
 // ---------------------------------------------------------------------
@@ -63,40 +48,11 @@ sim::Task<std::optional<Object>> GenArrayOp::next() {
   co_return std::optional<Object>(Object{arr});
 }
 
-sim::Task<void> GenArrayOp::next_batch(ItemBatch& out, std::size_t max) {
-  if (count_ >= 0 && produced_ >= count_) {
-    out.mark_eos();
-    co_return;
-  }
-  std::size_t n = max;
-  if (count_ >= 0) {
-    n = std::min<std::size_t>(n, static_cast<std::size_t>(count_ - produced_));
-  }
-  // Constant per-item cost: one aggregated hold lands on the bitwise
-  // per-item end time (see BagStreamOp::next_batch).
-  co_await ctx_->cpu->use_repeated(op_costs::gen_array(ctx_->node, bytes_), n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push(Object{catalog::SynthArray{bytes_, static_cast<std::uint64_t>(produced_)}});
-    ++produced_;
-  }
-  if (count_ >= 0 && produced_ >= count_) out.mark_eos();
-  count_batch(n);
-}
-
 // ---------------------------------------------------------------------
 // ReceiveOp / MergeOp
 // ---------------------------------------------------------------------
 
 sim::Task<std::optional<Object>> ReceiveOp::next() { return driver_->next(); }
-
-sim::Task<void> ReceiveOp::next_batch(ItemBatch& out, std::size_t max) {
-  const std::size_t n = co_await driver_->next_batch(out, max);
-  // A zero-item pull means the stream ended; a non-empty batch may also
-  // exhaust the driver, in which case the EOS flag rides along (the
-  // extra per-item next() returning nullopt had no simulated effect).
-  if (n == 0 || driver_->exhausted()) out.mark_eos();
-  if (n > 0) count_batch(n);
-}
 
 MergeOp::MergeOp(PlanContext& ctx, std::vector<transport::ReceiverDriver*> drivers)
     : ctx_(&ctx), drivers_(std::move(drivers)), out_(*ctx.sim, 1) {
@@ -122,29 +78,6 @@ sim::Task<std::optional<Object>> MergeOp::next() {
   co_return co_await out_.recv();
 }
 
-sim::Task<void> MergeOp::next_batch(ItemBatch& out, std::size_t max) {
-  ensure_started();
-  auto first = co_await out_.recv();
-  if (!first) {
-    out.mark_eos();
-    co_return;
-  }
-  out.push(std::move(*first));
-  std::size_t n = 1;
-  // Drain whatever the pumps already buffered without suspending. The
-  // out_ channel keeps capacity 1 — widening it would change pump
-  // backpressure and thus the simulated interleaving — so this drain
-  // takes at most what individual next() calls at the same timestamp
-  // would have taken, in the same arrival order.
-  while (n < max) {
-    auto more = out_.try_recv();
-    if (!more) break;
-    out.push(std::move(*more));
-    ++n;
-  }
-  count_batch(n);
-}
-
 // ---------------------------------------------------------------------
 // CountOp / SumOp
 // ---------------------------------------------------------------------
@@ -162,7 +95,8 @@ sim::Task<std::optional<Object>> CountOp::next() {
   co_return std::optional<Object>(Object{n});
 }
 
-SumOp::SumOp(PlanContext& ctx, OperatorPtr child) : ctx_(&ctx), child_(std::move(child)) {}
+SumOp::SumOp(PlanContext& ctx, OperatorPtr child, scsql::SourcePos pos)
+    : ctx_(&ctx), child_(std::move(child)), pos_(pos) {}
 
 sim::Task<std::optional<Object>> SumOp::next() {
   if (done_) co_return std::nullopt;
@@ -171,15 +105,18 @@ sim::Task<std::optional<Object>> SumOp::next() {
   double real_sum = 0.0;
   bool all_int = true;
   while (auto obj = co_await child_->next()) {
+    const double v = numeric_input(*obj, "sum", "a stream of numbers", pos_);
     co_await ctx_->cpu->use(op_costs::invoke(ctx_->node));
     if (obj->kind() == catalog::Kind::kInt && all_int) {
-      int_sum += obj->as_int();
+      if (__builtin_add_overflow(int_sum, obj->as_int(), &int_sum)) {
+        throw scsql::Error("integer overflow in sum()", pos_);
+      }
     } else {
       if (all_int) {
         real_sum = static_cast<double>(int_sum);
         all_int = false;
       }
-      real_sum += obj->as_number();
+      real_sum += v;
     }
   }
   if (all_int) co_return std::optional<Object>(Object{int_sum});
@@ -278,20 +215,6 @@ sim::Task<std::optional<Object>> GrepOp::next() {
   auto line = std::move(matches_.front());
   matches_.pop_front();
   co_return std::optional<Object>(Object{std::move(line)});
-}
-
-sim::Task<void> GrepOp::next_batch(ItemBatch& out, std::size_t max) {
-  if (!scanned_) co_await scan();
-  // Matches emit for free (the one scan charge covered them), so the
-  // whole result set can stream out in batches with no timing effect.
-  std::size_t n = 0;
-  while (n < max && !matches_.empty()) {
-    out.push(Object{std::move(matches_.front())});
-    matches_.pop_front();
-    ++n;
-  }
-  if (matches_.empty()) out.mark_eos();
-  if (n > 0) count_batch(n);
 }
 
 // ---------------------------------------------------------------------

@@ -27,7 +27,6 @@ class BagStreamOp final : public Operator {
  public:
   BagStreamOp(PlanContext& ctx, catalog::Bag values);
   sim::Task<std::optional<catalog::Object>> next() override;
-  sim::Task<void> next_batch(ItemBatch& out, std::size_t max) override;
   std::string name() const override { return "bag"; }
 
  private:
@@ -45,7 +44,6 @@ class GenArrayOp final : public Operator {
  public:
   GenArrayOp(PlanContext& ctx, std::uint64_t bytes, std::int64_t count);
   sim::Task<std::optional<catalog::Object>> next() override;
-  sim::Task<void> next_batch(ItemBatch& out, std::size_t max) override;
   std::string name() const override { return "gen_array"; }
 
  private:
@@ -60,7 +58,6 @@ class ReceiveOp final : public Operator {
  public:
   explicit ReceiveOp(transport::ReceiverDriver& driver) : driver_(&driver) {}
   sim::Task<std::optional<catalog::Object>> next() override;
-  sim::Task<void> next_batch(ItemBatch& out, std::size_t max) override;
   std::string name() const override { return "receive"; }
 
  private:
@@ -74,7 +71,6 @@ class MergeOp final : public Operator {
  public:
   MergeOp(PlanContext& ctx, std::vector<transport::ReceiverDriver*> drivers);
   sim::Task<std::optional<catalog::Object>> next() override;
-  sim::Task<void> next_batch(ItemBatch& out, std::size_t max) override;
   std::string name() const override { return "merge"; }
 
  private:
@@ -101,16 +97,19 @@ class CountOp final : public Operator {
   bool done_ = false;
 };
 
-/// sum(child): numeric sum of the child stream (ints stay integral).
+/// sum(child): numeric sum of the child stream (ints stay integral). An
+/// element that is not a number, or an integer sum past int64, is an
+/// scsql::Error at the call's source position `pos`.
 class SumOp final : public Operator {
  public:
-  SumOp(PlanContext& ctx, OperatorPtr child);
+  SumOp(PlanContext& ctx, OperatorPtr child, scsql::SourcePos pos);
   sim::Task<std::optional<catalog::Object>> next() override;
   std::string name() const override { return "sum"; }
 
  private:
   PlanContext* ctx_;
   OperatorPtr child_;
+  scsql::SourcePos pos_;
   bool done_ = false;
 };
 
@@ -120,12 +119,6 @@ class PassOp final : public Operator {
  public:
   explicit PassOp(OperatorPtr child) : child_(std::move(child)) {}
   sim::Task<std::optional<catalog::Object>> next() override { return child_->next(); }
-  /// Forwarding is batch-transparent: the child's batch is our batch.
-  sim::Task<void> next_batch(ItemBatch& out, std::size_t max) override {
-    const std::size_t before = out.size();
-    co_await child_->next_batch(out, max);
-    if (out.size() > before) count_batch(out.size() - before);
-  }
   std::string name() const override { return "streamof"; }
 
  private:
@@ -180,7 +173,6 @@ class GrepOp final : public Operator {
  public:
   GrepOp(PlanContext& ctx, std::string pattern, std::string filename);
   sim::Task<std::optional<catalog::Object>> next() override;
-  sim::Task<void> next_batch(ItemBatch& out, std::size_t max) override;
   std::string name() const override { return "grep"; }
 
  private:

@@ -60,8 +60,8 @@ sim::Task<std::optional<Object>> WindowOp::next() {
 // BagAggOp
 // ---------------------------------------------------------------------
 
-BagAggOp::BagAggOp(PlanContext& ctx, Fn fn, OperatorPtr child)
-    : ctx_(&ctx), fn_(fn), child_(std::move(child)) {}
+BagAggOp::BagAggOp(PlanContext& ctx, Fn fn, OperatorPtr child, scsql::SourcePos pos)
+    : ctx_(&ctx), fn_(fn), child_(std::move(child)), pos_(pos) {}
 
 std::string BagAggOp::name() const {
   switch (fn_) {
@@ -78,7 +78,9 @@ sim::Task<std::optional<Object>> BagAggOp::next() {
   auto obj = co_await child_->next();
   if (!obj) co_return std::nullopt;
   if (obj->kind() != Kind::kBag) {
-    throw scsql::Error(name() + "() expects a stream of bags (use cwindow/swindow)");
+    throw scsql::Error(name() + "() expects a stream of bags (got " +
+                           catalog::kind_name(obj->kind()) + "; use cwindow/swindow)",
+                       pos_);
   }
   const auto& bag = obj->as_bag();
   co_await ctx_->cpu->use(ctx_->node.op_invoke_s +
@@ -87,13 +89,14 @@ sim::Task<std::optional<Object>> BagAggOp::next() {
     co_return std::optional<Object>(Object{static_cast<std::int64_t>(bag.size())});
   }
   if (bag.empty()) {
-    throw scsql::Error(name() + "() of an empty window");
+    throw scsql::Error(name() + "() of an empty window", pos_);
   }
-  double acc = fn_ == Fn::kMin ? bag[0].as_number()
-               : fn_ == Fn::kMax ? bag[0].as_number()
-                                 : 0.0;
+  const std::string fn = name();
+  double acc = fn_ == Fn::kMin || fn_ == Fn::kMax
+                   ? numeric_input(bag[0], fn, "bags of numbers", pos_)
+                   : 0.0;
   for (const auto& el : bag) {
-    const double v = el.as_number();
+    const double v = numeric_input(el, fn, "bags of numbers", pos_);
     switch (fn_) {
       case Fn::kSum:
       case Fn::kAvg:
@@ -117,8 +120,8 @@ sim::Task<std::optional<Object>> BagAggOp::next() {
 // ScalarMapOp
 // ---------------------------------------------------------------------
 
-ScalarMapOp::ScalarMapOp(PlanContext& ctx, Fn fn, OperatorPtr child)
-    : ctx_(&ctx), fn_(fn), child_(std::move(child)) {}
+ScalarMapOp::ScalarMapOp(PlanContext& ctx, Fn fn, OperatorPtr child, scsql::SourcePos pos)
+    : ctx_(&ctx), fn_(fn), child_(std::move(child)), pos_(pos) {}
 
 std::string ScalarMapOp::name() const {
   switch (fn_) {
@@ -131,13 +134,13 @@ std::string ScalarMapOp::name() const {
 sim::Task<std::optional<Object>> ScalarMapOp::next() {
   auto obj = co_await child_->next();
   if (!obj) co_return std::nullopt;
+  const double v = numeric_input(*obj, name(), "a stream of numbers", pos_);
   co_await ctx_->cpu->use(ctx_->node.op_invoke_s + ctx_->node.flop_s);
-  const double v = obj->as_number();
   switch (fn_) {
     case Fn::kAbs:
       co_return std::optional<Object>(Object{std::fabs(v)});
     case Fn::kSqrt:
-      if (v < 0.0) throw scsql::Error("sqrtv() of a negative value");
+      if (v < 0.0) throw scsql::Error("sqrtv() of a negative value", pos_);
       co_return std::optional<Object>(Object{std::sqrt(v)});
   }
   co_return std::nullopt;  // unreachable
@@ -147,19 +150,16 @@ sim::Task<std::optional<Object>> ScalarMapOp::next() {
 // AboveOp
 // ---------------------------------------------------------------------
 
-AboveOp::AboveOp(PlanContext& ctx, OperatorPtr child, double threshold)
-    : ctx_(&ctx), child_(std::move(child)), threshold_(threshold) {}
+AboveOp::AboveOp(PlanContext& ctx, OperatorPtr child, double threshold, scsql::SourcePos pos)
+    : ctx_(&ctx), child_(std::move(child)), threshold_(threshold), pos_(pos) {}
 
 sim::Task<std::optional<Object>> AboveOp::next() {
   while (true) {
     auto obj = co_await child_->next();
     if (!obj) co_return std::nullopt;
-    if (obj->kind() != Kind::kInt && obj->kind() != Kind::kReal) {
-      throw scsql::Error("above() expects a numeric stream (got " +
-                         std::string(catalog::kind_name(obj->kind())) + ")");
-    }
+    const double v = numeric_input(*obj, "above", "a numeric stream", pos_);
     co_await ctx_->cpu->use(ctx_->node.op_invoke_s);
-    if (obj->as_number() > threshold_) co_return obj;
+    if (v > threshold_) co_return obj;
   }
 }
 

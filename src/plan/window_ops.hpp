@@ -45,11 +45,13 @@ class WindowOp final : public Operator {
   bool flushed_ = false;
 };
 
-/// Per-bag aggregate over a stream of bags.
+/// Per-bag aggregate over a stream of bags. An element that is not a
+/// bag, or a bag element that is not a number, is an scsql::Error at the
+/// call's source position `pos`.
 class BagAggOp final : public Operator {
  public:
   enum class Fn { kSum, kAvg, kMax, kMin, kCount };
-  BagAggOp(PlanContext& ctx, Fn fn, OperatorPtr child);
+  BagAggOp(PlanContext& ctx, Fn fn, OperatorPtr child, scsql::SourcePos pos);
   sim::Task<std::optional<catalog::Object>> next() override;
   std::string name() const override;
 
@@ -57,13 +59,15 @@ class BagAggOp final : public Operator {
   PlanContext* ctx_;
   Fn fn_;
   OperatorPtr child_;
+  scsql::SourcePos pos_;
 };
 
-/// Per-element scalar math over numeric streams.
+/// Per-element scalar math over numeric streams. An element that is not
+/// a number is an scsql::Error at the call's source position `pos`.
 class ScalarMapOp final : public Operator {
  public:
   enum class Fn { kAbs, kSqrt };
-  ScalarMapOp(PlanContext& ctx, Fn fn, OperatorPtr child);
+  ScalarMapOp(PlanContext& ctx, Fn fn, OperatorPtr child, scsql::SourcePos pos);
   sim::Task<std::optional<catalog::Object>> next() override;
   std::string name() const override;
 
@@ -71,6 +75,7 @@ class ScalarMapOp final : public Operator {
   PlanContext* ctx_;
   Fn fn_;
   OperatorPtr child_;
+  scsql::SourcePos pos_;
 };
 
 /// Threshold filter over a numeric stream: elements strictly greater
@@ -79,7 +84,7 @@ class ScalarMapOp final : public Operator {
 /// regular stream operator usable in any plan.
 class AboveOp final : public Operator {
  public:
-  AboveOp(PlanContext& ctx, OperatorPtr child, double threshold);
+  AboveOp(PlanContext& ctx, OperatorPtr child, double threshold, scsql::SourcePos pos);
   sim::Task<std::optional<catalog::Object>> next() override;
   std::string name() const override { return "above"; }
 
@@ -87,6 +92,7 @@ class AboveOp final : public Operator {
   PlanContext* ctx_;
   OperatorPtr child_;
   double threshold_;
+  scsql::SourcePos pos_;
 };
 
 }  // namespace scsq::plan

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -158,7 +159,12 @@ Token Lexer::next() {
     }
     if (is_real) {
       t.kind = Tok::kReal;
+      // strtod gives infinity past the double range; a literal below it
+      // underflows to a finite value, which stays.
       t.real_val = std::strtod(num.c_str(), nullptr);
+      if (!std::isfinite(t.real_val)) {
+        throw Error("real literal " + num + " is out of range", t.pos);
+      }
     } else {
       t.kind = Tok::kInt;
       // `num` is all digits, so the one possible failure is a value past

@@ -141,18 +141,6 @@ class Channel {
   /// drained (remaining buffered values are still delivered after close).
   RecvAwaiter recv() { return RecvAwaiter(*this); }
 
-  /// Attempts to receive without suspending: the batch-draining fast
-  /// path. Returns the next buffered value, or nullopt when the buffer
-  /// is empty (whether or not the channel is closed — callers that need
-  /// to distinguish end-of-stream fall back to recv()). Like take(),
-  /// this notifies one blocked sender at the current simulated time, so
-  /// draining k buffered values wakes senders exactly as k individual
-  /// recv() calls at the same instant would.
-  std::optional<T> try_recv() {
-    if (count_ == 0) return std::nullopt;
-    return std::optional<T>(take());
-  }
-
   /// Closes the channel: future recv() calls drain the buffer then yield
   /// nullopt; blocked senders/receivers are woken. Idempotent.
   void close() {

@@ -129,22 +129,6 @@ class Resource {
   /// UseAwaiter). Must be co_awaited directly.
   UseAwaiter use(Time duration) { return UseAwaiter(*this, duration); }
 
-  /// Batched convenience: acquire once, hold for the sequential fold of
-  /// `n` holds of `per` seconds each, release. The end time is computed
-  /// by the same left-to-right addition chain n back-to-back use(per)
-  /// calls would produce, so the clock lands on the bitwise-identical
-  /// timestamp — with one scheduler event instead of n. Only safe when
-  /// no other process would contend for this resource between the
-  /// individual holds (FIFO barging would otherwise reorder grants).
-  Task<void> use_repeated(Time per, std::uint64_t n) {
-    if (n == 0) co_return;
-    co_await acquire();
-    Time end = sim_->now();
-    for (std::uint64_t i = 0; i < n; ++i) end += per;
-    co_await sim_->delay_until(end);
-    release();
-  }
-
   /// Reserves the next FIFO slot of a capacity-1 resource and returns the
   /// exact simulated time a use(hold) enqueued *now* will complete. Valid
   /// only when every user of the resource pairs claim(hold) with an

@@ -158,23 +158,6 @@ class Simulator {
     return Awaiter{this, dt};
   }
 
-  /// Awaitable: suspends until absolute simulated time `at` (at <= now()
-  /// completes immediately without suspension). Batched cost charges use
-  /// this to land the clock on an exact fold of per-item costs: k
-  /// sequential delay(d) calls advance time as ((t+d)+d)+... which is
-  /// not bitwise t + k*d, so an aggregated charge computes the same
-  /// sequential fold and schedules at that absolute instant.
-  auto delay_until(Time at) {
-    struct Awaiter {
-      Simulator* sim;
-      Time at;
-      bool await_ready() const noexcept { return at <= sim->now_; }
-      void await_suspend(std::coroutine_handle<> h) { sim->schedule_at(at, h); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, at};
-  }
-
   /// Runs until the event queue is empty or `until` is exceeded.
   /// Returns the final simulated time.
   Time run(Time until = kNoLimit);

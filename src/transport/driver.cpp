@@ -261,41 +261,6 @@ sim::Task<std::optional<catalog::Object>> ReceiverDriver::next() {
   co_return std::optional<catalog::Object>(std::move(obj));
 }
 
-sim::Task<std::size_t> ReceiverDriver::next_batch(catalog::ItemBatch& out,
-                                                  std::size_t max) {
-  std::size_t delivered = 0;
-  while (delivered < max) {
-    if (ready_head_ < ready_.size()) {
-      out.push(std::move(ready_[ready_head_]));
-      ++ready_head_;
-      ++delivered;
-      if (ready_head_ == ready_.size()) {
-        ready_.clear();
-        ready_head_ = 0;
-      }
-      continue;
-    }
-    // Nothing materialized. Stop at a frame boundary once anything was
-    // delivered (see header: taking the next frame early would release
-    // sender backpressure ahead of the per-item timeline); otherwise
-    // pull frames — identical to next()'s inner loop, including pulling
-    // *several* frames back-to-back when a frame completes no object
-    // (large arrays spanning many buffers).
-    if (delivered > 0 || eos_) break;
-    const double wait_start = sim_->now();
-    auto received = co_await inbox_.recv();
-    wait_seconds_ += sim_->now() - wait_start;
-    if (!received) {  // channel force-closed (teardown)
-      eos_ = true;
-      break;
-    }
-    Frame* frame = *received;
-    co_await cpu_->use(charge(*frame));
-    materialize(frame);
-  }
-  co_return delivered;
-}
-
 double ReceiverDriver::charge(const Frame& frame) {
   bytes_ += frame.bytes;
   const double cost =

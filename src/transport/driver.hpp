@@ -15,7 +15,6 @@
 #include <memory>
 #include <optional>
 
-#include "catalog/batch.hpp"
 #include "catalog/object.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
@@ -321,24 +320,6 @@ class ReceiverDriver {
   /// de-marshal + allocation cost per received frame.
   sim::Task<std::optional<catalog::Object>> next();
 
-  /// Batch pull: appends up to `max` materialized objects to `out` and
-  /// returns how many were delivered (0 only at end of stream). The
-  /// batch is *frame-granular*: it hands back everything already
-  /// materialized from previously received frames, pulls further frames
-  /// from the inbox only while it has nothing to deliver, and never
-  /// takes a frame beyond the one that produced the batch — taking
-  /// extra frames early would free inbox slots (and thus release sender
-  /// backpressure) before the per-item path would, shifting the
-  /// simulated timeline. Charge order is exactly the per-item order:
-  /// demarshal(frame), then its objects, then — on the *next* call —
-  /// demarshal of the following frame.
-  sim::Task<std::size_t> next_batch(catalog::ItemBatch& out, std::size_t max);
-
-  bool eos_seen() const { return eos_; }
-
-  /// True once the stream has ended AND every materialized object has
-  /// been handed out: the next pull would yield nothing.
-  bool exhausted() const { return eos_ && ready_head_ == ready_.size(); }
   std::uint64_t bytes_received() const { return bytes_; }
 
   /// Time spent blocked on an empty inbox (queue-wait; profiler input).

@@ -25,7 +25,6 @@ check SCSQ_BENCH_THREADS=-1
 check SCSQ_BENCH_THREADS=abc
 check SCSQ_BENCH_THREADS=2x
 check SCSQ_BENCH_THREADS=1025
-check SCSQ_BATCH_SIZE=abc
 check SCSQ_SAMPLE_INTERVAL=abc
 check SCSQ_SAMPLE_INTERVAL=-1
 check "SCSQ_MONITOR=extract(nope)"

@@ -139,24 +139,19 @@ TEST(EngineEdge, EmptyEnumerationYieldsNoProducers) {
 
 TEST(EngineEdge, ArrayTransformOfNonArrayIsAnError) {
   // gen_array streams synthetic arrays, not real ones. odd/even/fft must
-  // reject them with an scsql::Error at the call's position, at batch
-  // sizes 1 and 256.
+  // reject them with an scsql::Error at the call's position.
   for (const std::string fn : {"odd", "even", "fft"}) {
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
-      ScsqConfig config;
-      config.exec.batch_size = batch;
-      Scsq scsq(config);
-      try {
-        scsq.run("select " + fn + "(gen_array(3, 4));");
-        ADD_FAILURE() << fn << " at batch " << batch << " was accepted";
-      } catch (const scsql::Error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find(fn + "() expects a stream of real arrays (got syntharray)"),
-                  std::string::npos)
-            << what;
-        EXPECT_EQ(e.pos().line, 1) << what;
-        EXPECT_EQ(e.pos().column, 8) << what;
-      }
+    Scsq scsq;
+    try {
+      scsq.run("select " + fn + "(gen_array(3, 4));");
+      ADD_FAILURE() << fn << " was accepted";
+    } catch (const scsql::Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(fn + "() expects a stream of real arrays (got syntharray)"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(e.pos().line, 1) << what;
+      EXPECT_EQ(e.pos().column, 8) << what;
     }
   }
 }
@@ -215,30 +210,6 @@ TEST(EngineEdge, ZeroRecvBuffersIsAnError) {
   ScsqConfig config;
   config.exec.recv_buffers = 0;
   expect_config_error(config, "recv_buffers");
-}
-
-// SCSQ_BATCH_SIZE follows every integer setting's policy: a value that
-// is not a positive integer is an scsql error naming the variable and
-// the value, never a silent fall back to the default depth.
-TEST(EngineEdge, BadBatchSizeEnvIsAnError) {
-  for (const char* bad : {"0", "-1", "abc", "16x", " 16", "+16", "99999999999999999999999"}) {
-    SCOPED_TRACE(bad);
-    try {
-      (void)exec::from_env(env_of({{"SCSQ_BATCH_SIZE", bad}}));
-      ADD_FAILURE() << "SCSQ_BATCH_SIZE='" << bad << "' was accepted";
-    } catch (const scsql::Error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("SCSQ_BATCH_SIZE"), std::string::npos) << what;
-      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
-    }
-  }
-  const auto settings = exec::from_env(env_of({{"SCSQ_BATCH_SIZE", "16"}}));
-  EXPECT_EQ(Scsq(settings.config).engine().options().batch_size, 16u);
-  EXPECT_EQ(Scsq().engine().options().batch_size, 256u);
-  // The engine itself rejects an empty batch.
-  ScsqConfig config;
-  config.exec.batch_size = 0;
-  expect_config_error(config, "batch_size");
 }
 
 // SCSQ_BENCH_QUICK is 0 or 1: 0 (or unset, or empty) is full mode, and

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/scsq.hpp"
 #include "exec/coordinator.hpp"
 #include "exec/eval.hpp"
 #include "exec/substitute.hpp"
@@ -247,6 +248,48 @@ TEST_F(CoordFixture, ExhaustedClusterThrows) {
   allocate(cc, nullptr);
   allocate(cc, nullptr);
   EXPECT_THROW(allocate(cc, nullptr), scsql::Error);
+}
+
+// ---------------------------------------------------------------------
+// Engine runs: the values the client collects, and that the run ends
+// ---------------------------------------------------------------------
+
+TEST(EngineRun, SumOverReceivedStream) {
+  // sum over an int stream received on the front end.
+  Scsq scsq;
+  const auto r = scsq.run(
+      "select extract(b) from sp a, sp b "
+      "where b=sp(sum(extract(a)), 'fe') "
+      "and a=sp(iota(1, 10), 'be');");
+  ASSERT_EQ(r.results.size(), 1u);
+  EXPECT_EQ(r.results[0].as_int(), 55);
+  EXPECT_FALSE(r.stopped);
+}
+
+TEST(EngineRun, CountOfEmptyStreamIsZero) {
+  // A zero-item producer: its end of stream alone reaches count, which
+  // still emits its 0.
+  Scsq scsq;
+  const auto r = scsq.run(
+      "select extract(b) from sp b "
+      "where b=sp(count(gen_array(1000, 0)), 'be');");
+  ASSERT_EQ(r.results.size(), 1u);
+  EXPECT_EQ(r.results[0].as_int(), 0);
+  EXPECT_FALSE(r.stopped);
+}
+
+TEST(EngineRun, MergeOfUnevenProducersCountsEveryItem) {
+  // Producers with 3, 6 and 9 items: the merge ends only after the
+  // longest stream, with every item counted.
+  Scsq scsq;
+  const auto r = scsq.run(
+      "select extract(c) from bag of sp a, sp c "
+      "where c=sp(count(merge(a)),'bg',0) "
+      "and a=spv((select gen_array(1000, i * 3) "
+      "from integer i where i in iota(1,3)), 'bg', {1, 2, 3});");
+  ASSERT_EQ(r.results.size(), 1u);
+  EXPECT_EQ(r.results[0].as_int(), 18);
+  EXPECT_FALSE(r.stopped);
 }
 
 }  // namespace

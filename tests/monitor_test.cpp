@@ -5,7 +5,7 @@
 // rates runs at every sampler window boundary as a zero-duration
 // read-only callback driven by synchronous coroutine resumption under an
 // all-zero cost model — so every figure table, elapsed_s and result is
-// byte-identical with monitors on or off, at every SCSQ_BATCH_SIZE.
+// byte-identical with monitors on or off.
 // These tests pin that invariant at the engine level and cover the
 // surface around it: the system.* stream row shapes, above() threshold
 // semantics, register-time validation of non-introspection queries, and
@@ -53,13 +53,11 @@ struct RunOut {
   std::size_t windows = 0;
 };
 
-RunOut run_case(bool monitored, std::size_t batch,
-                const std::string& monitor_query = kThresholdMonitor,
+RunOut run_case(bool monitored, const std::string& monitor_query = kThresholdMonitor,
                 const char* script = kFig6Script) {
   ScsqConfig config;
   // Sampling on in *every* case: monitored-vs-not is the only delta.
   config.exec.sample_interval_s = 1e-3;
-  config.exec.batch_size = batch;
   Scsq scsq(config);
   if (monitored) scsq.engine().register_monitor(monitor_query);
   RunOut out;
@@ -73,38 +71,27 @@ RunOut run_case(bool monitored, std::size_t batch,
 }
 
 // ---------------------------------------------------------------------
-// Zero-perturbation byte-identity across batch sizes
+// Zero-perturbation byte-identity
 // ---------------------------------------------------------------------
 
-TEST(MonitorInvariance, TablesIdenticalOnOffAcrossBatch) {
-  const RunOut base = run_case(/*monitored=*/false, /*batch=*/256);
-  std::string monitored_alerts;
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{256}}) {
-    SCOPED_TRACE("batch=" + std::to_string(batch));
-    const RunOut run = run_case(/*monitored=*/true, batch);
-    // Bitwise, not approximate: the monitor may not move a single
-    // simulated event.
-    EXPECT_EQ(run.report.elapsed_s, base.report.elapsed_s);
-    EXPECT_EQ(run.report.setup_s, base.report.setup_s);
-    EXPECT_EQ(run.report.stream_bytes, base.report.stream_bytes);
-    ASSERT_EQ(run.report.results.size(), base.report.results.size());
-    for (std::size_t i = 0; i < run.report.results.size(); ++i) {
-      EXPECT_EQ(run.report.results[i].to_string(), base.report.results[i].to_string());
-    }
-    // The alert stream itself is part of the contract: same windows,
-    // same rows, byte-identical serialization at every batch depth.
-    EXPECT_GT(run.alert_count, 0u);
-    if (monitored_alerts.empty()) {
-      monitored_alerts = run.alerts_jsonl;
-    } else {
-      EXPECT_EQ(run.alerts_jsonl, monitored_alerts);
-    }
+TEST(MonitorInvariance, TablesIdenticalOnOff) {
+  const RunOut base = run_case(/*monitored=*/false);
+  const RunOut run = run_case(/*monitored=*/true);
+  // Bitwise, not approximate: the monitor may not move a single
+  // simulated event.
+  EXPECT_EQ(run.report.elapsed_s, base.report.elapsed_s);
+  EXPECT_EQ(run.report.setup_s, base.report.setup_s);
+  EXPECT_EQ(run.report.stream_bytes, base.report.stream_bytes);
+  ASSERT_EQ(run.report.results.size(), base.report.results.size());
+  for (std::size_t i = 0; i < run.report.results.size(); ++i) {
+    EXPECT_EQ(run.report.results[i].to_string(), base.report.results[i].to_string());
   }
+  EXPECT_GT(run.alert_count, 0u);
 }
 
 TEST(MonitorInvariance, Fig8MergeTablesIdenticalOnOff) {
-  const RunOut base = run_case(/*monitored=*/false, 256, kThresholdMonitor, kFig8Script);
-  const RunOut run = run_case(/*monitored=*/true, 256, kThresholdMonitor, kFig8Script);
+  const RunOut base = run_case(/*monitored=*/false, kThresholdMonitor, kFig8Script);
+  const RunOut run = run_case(/*monitored=*/true, kThresholdMonitor, kFig8Script);
   EXPECT_EQ(run.report.elapsed_s, base.report.elapsed_s);
   EXPECT_EQ(run.report.stream_bytes, base.report.stream_bytes);
   ASSERT_EQ(run.report.results.size(), 1u);
@@ -118,7 +105,7 @@ TEST(MonitorInvariance, Fig8MergeTablesIdenticalOnOff) {
 // ---------------------------------------------------------------------
 
 TEST(MonitorAlerts, ThresholdAlertContent) {
-  const RunOut run = run_case(/*monitored=*/true, 256);
+  const RunOut run = run_case(/*monitored=*/true);
   ASSERT_GT(run.alert_count, 0u);
   ASSERT_GT(run.windows, 0u);
   std::istringstream lines(run.alerts_jsonl);

@@ -87,7 +87,6 @@ TEST_F(ObsStressTest, ParallelSweepProducesConsistentJsonl) {
   const Value& harness = lines.back();
   EXPECT_EQ(kind(harness), "harness");
   EXPECT_EQ(harness.find("points")->as_number(), static_cast<double>(points.size()));
-  EXPECT_EQ(harness.find("batch_size")->as_number(), 256.0);
   for (std::size_t i = 0; i < points.size(); ++i) {
     SCOPED_TRACE(i);
     const Value& metrics = lines[1 + 2 * i];
@@ -138,13 +137,9 @@ TEST_F(ObsStressTest, ParallelSweepMatchesSequentialStats) {
   configure_with({{"SCSQ_BENCH_QUICK", "1"}, {"SCSQ_BENCH_THREADS", "4"}});
   const auto parallel = run_points(points);
 
-  // A resolved SCSQ_BATCH_SIZE reaches every engine the sweep builds
-  // (the harness line reports the depth the engines ran at), and the
-  // stats stay the same at batch 1 on one thread.
-  configure_with(
-      {{"SCSQ_BENCH_QUICK", "1"}, {"SCSQ_BENCH_THREADS", "1"}, {"SCSQ_BATCH_SIZE", "1"}});
+  // The stats stay the same on one thread.
+  configure_with({{"SCSQ_BENCH_QUICK", "1"}, {"SCSQ_BENCH_THREADS", "1"}});
   const auto sequential = run_points(points);
-  EXPECT_EQ(read_record().back().find("batch_size")->as_number(), 1.0);
   ASSERT_EQ(parallel.size(), sequential.size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     EXPECT_EQ(parallel[i].mean(), sequential[i].mean()) << "point " << i;

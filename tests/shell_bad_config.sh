@@ -25,9 +25,6 @@ check() {
 check SCSQ_BUFFER_BYTES=0
 check SCSQ_SEND_BUFFERS=0
 check SCSQ_SAMPLE_INTERVAL=abc
-check SCSQ_BATCH_SIZE=0
-check SCSQ_BATCH_SIZE=-1
-check SCSQ_BATCH_SIZE=abc
 check SCSQ_BUFFER_BYTES=64k
 check SCSQ_BUFFER_BYTES=-1
 check SCSQ_SEND_BUFFERS=4294967297

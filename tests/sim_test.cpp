@@ -492,32 +492,6 @@ TEST(Simulator, NextEventTimeTracksQueueState) {
   EXPECT_DOUBLE_EQ(sim.next_event_time(), Simulator::kNoLimit);
 }
 
-// delay_until lands the clock on an exact absolute instant: one
-// aggregated charge computing the sequential fold ((t+d)+d)+... must be
-// bitwise identical to k sequential delay(d) awaits.
-TEST(Simulator, DelayUntilMatchesSequentialDelayFold) {
-  constexpr int kSteps = 1000;
-  constexpr double kStep = 1e-7;  // deliberately not exactly representable sums
-  Simulator seq;
-  seq.spawn([](Simulator& s) -> Task<void> {
-    for (int i = 0; i < kSteps; ++i) co_await s.delay(kStep);
-  }(seq));
-  seq.run();
-
-  Simulator agg;
-  agg.spawn([](Simulator& s) -> Task<void> {
-    double t = s.now();
-    for (int i = 0; i < kSteps; ++i) t += kStep;  // the same fold, no suspension
-    co_await s.delay_until(t);
-  }(agg));
-  agg.run();
-
-  EXPECT_EQ(seq.now(), agg.now());  // bitwise, not just approximately
-  // And the fold differs from the naive product, which is the reason
-  // delay_until exists at all.
-  EXPECT_NE(seq.now(), kSteps * kStep);
-}
-
 TEST(Simulator, CancelTimerSuppressesCallbackWithoutAdvancingClock) {
   Simulator sim;
   bool fired = false;
@@ -564,20 +538,6 @@ TEST(Simulator, CancelledTimerNeverBlocksRunCompletion) {
   EXPECT_DOUBLE_EQ(sim.next_event_time(), Simulator::kNoLimit);
 }
 
-TEST(Simulator, DelayUntilPastIsImmediate) {
-  Simulator sim;
-  int steps = 0;
-  sim.spawn([](Simulator& s, int& n) -> Task<void> {
-    co_await s.delay(2.0);
-    co_await s.delay_until(1.0);  // in the past: no suspension
-    ++n;
-    co_await s.delay_until(2.0);  // == now: no suspension
-    ++n;
-  }(sim, steps));
-  sim.run();
-  EXPECT_EQ(steps, 2);
-  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
-}
 
 // ---------------------------------------------------------------------
 // Resource::use is the spelled-out acquire / delay / release

@@ -5,13 +5,13 @@
 //
 // Settings: the SCSQ_* variables of exec/config.hpp, resolved once; a
 // bad value is an scsql error, exit status 1. SCSQ_BUFFER_BYTES,
-// SCSQ_SEND_BUFFERS, SCSQ_MAX_RESULTS, SCSQ_SMART_SELECT and
-// SCSQ_BATCH_SIZE set the ExecOptions; SCSQ_VERBOSE=1 prints the per-RP
-// table after each query; SCSQ_SAMPLE_INTERVAL pre-arms the sampler (as
-// \watch, without live lines) and SCSQ_MONITOR pre-registers a monitor
-// (as \monitor). SCSQ_TRACE=path writes a Chrome-tracing JSON of the
-// session (chrome://tracing or Perfetto). SCSQ_RECORD=path writes the
-// JSONL run record (exec/record.hpp): each statement's metrics, profile,
+// SCSQ_SEND_BUFFERS, SCSQ_MAX_RESULTS and SCSQ_SMART_SELECT set the
+// ExecOptions; SCSQ_VERBOSE=1 prints the per-RP table after each query;
+// SCSQ_SAMPLE_INTERVAL pre-arms the sampler (as \watch, without live
+// lines) and SCSQ_MONITOR pre-registers a monitor (as \monitor).
+// SCSQ_TRACE=path writes a Chrome-tracing JSON of the session
+// (chrome://tracing or Perfetto). SCSQ_RECORD=path writes the JSONL run
+// record (exec/record.hpp): each statement's metrics, profile,
 // window and alert lines, and an error line for a statement that fails.
 //
 // Each query statement prints its result stream, the simulated elapsed
